@@ -1,0 +1,143 @@
+#include "core/plan_counters.hpp"
+
+#include <algorithm>
+#include <ostream>
+#include <sstream>
+
+#include "util/json.hpp"
+
+namespace latticesched {
+
+namespace {
+
+enum Merge { kSum, kMax, kLastNonEmpty };
+
+/// One counter: where it sits in the batch-report footer (`group`,
+/// `key`), its flat key (`name`, the member name), how two values merge,
+/// and the member (`count` for numbers, `text` for the kernel string).
+struct Field {
+  const char* group;
+  const char* key;
+  const char* name;
+  Merge merge;
+  std::uint64_t PlanCounters::*count;
+  std::string PlanCounters::*text = nullptr;
+};
+
+using C = PlanCounters;
+
+// Rows of one group are contiguous; the order is the emitted order.
+const Field kFields[] = {
+    {"cache", "hits", "cache_hits", kSum, &C::cache_hits},
+    {"cache", "misses", "cache_misses", kSum, &C::cache_misses},
+    {"search", "subtree_tasks", "search_subtree_tasks", kSum,
+     &C::search_subtree_tasks},
+    {"search", "steals", "search_steals", kSum, &C::search_steals},
+    {"search", "kernel", "search_kernel", kLastNonEmpty, nullptr,
+     &C::search_kernel},
+    {"regions", "count", "regions", kMax, &C::regions},
+    {"regions", "seam_sensors", "seam_sensors", kSum, &C::seam_sensors},
+    {"regions", "stitch_recolored", "stitch_recolored", kSum,
+     &C::stitch_recolored},
+    {"tuning", "hits", "tune_hits", kSum, &C::tune_hits},
+    {"tuning", "misses", "tune_misses", kSum, &C::tune_misses},
+    {"tuning", "searches", "tune_searches", kSum, &C::tune_searches},
+    {"tuning", "trials", "tune_trials_run", kSum, &C::tune_trials_run},
+};
+
+void write_value(std::ostream& os, const Field& f, const PlanCounters& c,
+                 const char* key) {
+  os << '"' << key << "\": ";
+  if (f.count != nullptr) {
+    os << c.*f.count;
+  } else {
+    os << '"' << json_escape(c.*f.text) << '"';
+  }
+}
+
+void read_value(std::string_view obj, const Field& f, PlanCounters* c,
+                const char* key) {
+  if (f.count != nullptr) {
+    c->*f.count = json_uint_field(obj, key);
+  } else {
+    c->*f.text = json_field(obj, key);
+  }
+}
+
+}  // namespace
+
+PlanCounters& PlanCounters::operator+=(const PlanCounters& other) {
+  for (const Field& f : kFields) {
+    switch (f.merge) {
+      case kSum: this->*f.count += other.*f.count; break;
+      case kMax:
+        this->*f.count = std::max(this->*f.count, other.*f.count);
+        break;
+      case kLastNonEmpty:
+        if (!(other.*f.text).empty()) this->*f.text = other.*f.text;
+        break;
+    }
+  }
+  return *this;
+}
+
+PlanCounters counters_between(const CounterSnapshot& before,
+                              const CounterSnapshot& after) {
+  PlanCounters c;
+  c.cache_hits = after.tiling.hits - before.tiling.hits;
+  c.cache_misses = after.tiling.misses - before.tiling.misses;
+  c.search_subtree_tasks =
+      after.tiling.search_subtree_tasks - before.tiling.search_subtree_tasks;
+  c.search_steals = after.tiling.search_steals - before.tiling.search_steals;
+  c.search_kernel = after.tiling.search_kernel;
+  c.tune_hits = after.tune.hits - before.tune.hits;
+  c.tune_misses = after.tune.misses - before.tune.misses;
+  c.tune_searches = after.tune.searches - before.tune.searches;
+  c.tune_trials_run = after.tune.trials - before.tune.trials;
+  return c;
+}
+
+void write_counter_groups(std::ostream& os, const PlanCounters& counters) {
+  std::string_view open;
+  for (const Field& f : kFields) {
+    if (open != f.group) {
+      if (!open.empty()) os << "},\n";
+      os << "  \"" << f.group << "\": {";
+      open = f.group;
+    } else {
+      os << ", ";
+    }
+    write_value(os, f, counters, f.key);
+  }
+  os << "},\n";
+}
+
+std::string_view read_counter_group(std::string_view line,
+                                    PlanCounters* counters) {
+  for (const Field& f : kFields) {
+    const std::string opener = std::string("\"") + f.group + "\": {";
+    if (line.find(opener) == std::string_view::npos) continue;
+    for (const Field& g : kFields) {
+      if (std::string_view(g.group) == f.group) {
+        read_value(line, g, counters, g.key);
+      }
+    }
+    return f.group;
+  }
+  return {};
+}
+
+std::string counter_fields_to_json(const PlanCounters& counters) {
+  std::ostringstream os;
+  for (const Field& f : kFields) {
+    if (&f != kFields) os << ", ";
+    write_value(os, f, counters, f.name);
+  }
+  return os.str();
+}
+
+void counter_fields_from_json(std::string_view obj, PlanCounters* counters) {
+  for (const Field& f : kFields) read_value(obj, f, counters, f.name);
+}
+
+}  // namespace latticesched

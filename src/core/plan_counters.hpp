@@ -1,0 +1,75 @@
+// The plan-search counters every reporting surface carries: tiling-cache
+// traffic, torus-search work stealing, auto-tuner searches and the region
+// stitch.  BatchReport, PlanSession::Stats (and so the serve CLOSE body)
+// and the coordinator's per-worker stats derive from PlanCounters and
+// move it only through the functions below: one merge, one snapshot
+// delta and one codec, all driven by the field table in
+// plan_counters.cpp.  A new counter is one member here plus one row there.
+#pragma once
+
+#include <cstdint>
+#include <iosfwd>
+#include <string>
+#include <string_view>
+
+#include "core/tiling_cache.hpp"
+#include "tune/tune_cache.hpp"
+
+namespace latticesched {
+
+struct PlanCounters {
+  std::uint64_t cache_hits = 0;    ///< TilingCache hits
+  std::uint64_t cache_misses = 0;  ///< TilingCache misses
+  /// Subtree tasks the parallel dense torus search executed, and how
+  /// many of them a worker stole from another worker's deque.
+  std::uint64_t search_subtree_tasks = 0;
+  std::uint64_t search_steals = 0;
+  /// Mask-kernel implementation the searches dispatched to ("scalar" /
+  /// "avx2"; empty until a search ran).
+  std::string search_kernel;
+  std::uint64_t tune_hits = 0;        ///< auto-backend TuneCache hits
+  std::uint64_t tune_misses = 0;      ///< auto-backend TuneCache misses
+  std::uint64_t tune_searches = 0;    ///< tuning searches run on misses
+  std::uint64_t tune_trials_run = 0;  ///< candidate configs those measured
+  std::uint64_t regions = 0;       ///< largest region partition planned
+  std::uint64_t seam_sensors = 0;  ///< seam sensors the stitches saw
+  /// Sensors the stitch moved off a color they already held (sensors
+  /// entering the stitch uncolored are not recolors).
+  std::uint64_t stitch_recolored = 0;
+
+  /// The one merge: sums every count, keeps the max of `regions`, and
+  /// takes `search_kernel` from `other` unless it is empty.
+  PlanCounters& operator+=(const PlanCounters& other);
+};
+
+/// Cache statistics taken before and after some planning work.
+struct CounterSnapshot {
+  TilingCache::Stats tiling;
+  tune::TuneCache::Stats tune;
+};
+
+/// Cache and tune traffic between two snapshots (`search_kernel` is the
+/// later one's).  The region counters stay 0: sessions count those.
+PlanCounters counters_between(const CounterSnapshot& before,
+                              const CounterSnapshot& after);
+
+/// Batch-report footer: one line per counter group, each indented two
+/// spaces and ending ",\n":
+///   "cache": {"hits": H, "misses": M},
+///   "search": {"subtree_tasks": T, "steals": S, "kernel": "K"},
+///   "regions": {"count": R, "seam_sensors": E, "stitch_recolored": C},
+///   "tuning": {"hits": H, "misses": M, "searches": S, "trials": T},
+void write_counter_groups(std::ostream& os, const PlanCounters& counters);
+
+/// When `line` is one of the footer lines above, reads its fields into
+/// `counters` and returns the group name; returns "" for any other line.
+std::string_view read_counter_group(std::string_view line,
+                                    PlanCounters* counters);
+
+/// Flat form keyed by member name (the serve CLOSE body):
+/// `"cache_hits": 1, "cache_misses": 0, ..., "tune_trials_run": 0`.
+/// The reader throws std::invalid_argument on a missing or bad field.
+std::string counter_fields_to_json(const PlanCounters& counters);
+void counter_fields_from_json(std::string_view obj, PlanCounters* counters);
+
+}  // namespace latticesched

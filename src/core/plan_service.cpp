@@ -1,6 +1,5 @@
 #include "core/plan_service.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
@@ -51,18 +50,13 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
     }
   }
 
-  const TilingCache::Stats before = cache_.stats();
-  const tune::TuneCache::Stats tune_before = tune_cache_.stats();
+  const CounterSnapshot before{cache_.stats(), tune_cache_.stats()};
   const auto t0 = std::chrono::steady_clock::now();
 
   BatchReport report;
   report.items.resize(items.size());
-  // Region-shard counters accumulate across the item fan-out: `regions`
-  // is a running max (largest partition any session planned), the rest
-  // are sums.
-  std::atomic<std::uint64_t> regions_max{0};
-  std::atomic<std::uint64_t> seam_total{0};
-  std::atomic<std::uint64_t> recolor_total{0};
+  // Each item's session counters, merged in item order after the fan-out.
+  std::vector<PlanCounters> item_counters(items.size());
   // Item fan-out; each item's own plan_all fan-out degrades to serial
   // inside this region (the pool never nests), so the parallelism grain
   // is one scenario per worker.
@@ -87,25 +81,10 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
       // Every item — static or dynamic — runs through one PlanSession;
       // a static item is simply a zero-delta session, so the two paths
       // cannot drift apart.
-      SessionConfig config;
-      config.backends = item.backends;
-      config.search = item.search;
-      config.sa = item.sa;
-      config.verify = item.verify;
-      config.regions = item.regions;
-      config.region_halo = item.region_halo;
+      SessionConfig config = session_config(item);
       config.channels = instance.channels;
       if (instance.lattice.has_value()) config.lattice = &*instance.lattice;
       if (instance.tiling.has_value()) config.tiling = &*instance.tiling;
-      config.tiling_cache = &cache_;
-      config.planners = planners_;
-      config.tune_cache = &tune_cache_;
-      config.tune_trials = item.tune_trials;
-      config.tune_budget_ms = item.tune_budget_ms;
-      // Families bucket by scenario name, so a sweep's items of the
-      // same family share tuned configs (and the distributed shards of
-      // one sweep agree on them).
-      config.tune_family = item.query.scenario;
       PlanSession session(std::move(instance.deployment), config);
       if (trace.empty()) {
         out.results = session.replan();
@@ -121,14 +100,7 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
         }
         out.results = out.steps.back().results;
       }
-      const PlanSession::Stats& st = session.stats();
-      std::uint64_t seen = regions_max.load(std::memory_order_relaxed);
-      while (st.regions > seen &&
-             !regions_max.compare_exchange_weak(seen, st.regions,
-                                                std::memory_order_relaxed)) {
-      }
-      seam_total.fetch_add(st.seam_sensors, std::memory_order_relaxed);
-      recolor_total.fetch_add(st.stitch_recolored, std::memory_order_relaxed);
+      item_counters[i] = session.stats();
     } catch (const std::exception& e) {
       out.built = false;
       out.error = e.what();
@@ -140,22 +112,29 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-  const TilingCache::Stats after = cache_.stats();
-  report.cache_hits = after.hits - before.hits;
-  report.cache_misses = after.misses - before.misses;
-  report.search_subtree_tasks =
-      after.search_subtree_tasks - before.search_subtree_tasks;
-  report.search_steals = after.search_steals - before.search_steals;
-  report.search_kernel = after.search_kernel;
-  report.regions = regions_max.load(std::memory_order_relaxed);
-  report.seam_sensors = seam_total.load(std::memory_order_relaxed);
-  report.stitch_recolored = recolor_total.load(std::memory_order_relaxed);
-  const tune::TuneCache::Stats tune_after = tune_cache_.stats();
-  report.tune_hits = tune_after.hits - tune_before.hits;
-  report.tune_misses = tune_after.misses - tune_before.misses;
-  report.tune_searches = tune_after.searches - tune_before.searches;
-  report.tune_trials_run = tune_after.trials - tune_before.trials;
+  report += counters_between(before, {cache_.stats(), tune_cache_.stats()});
+  for (const PlanCounters& counters : item_counters) report += counters;
   return report;
+}
+
+SessionConfig PlanService::session_config(const BatchItem& item) {
+  SessionConfig config;
+  config.backends = item.backends;
+  config.search = item.search;
+  config.sa = item.sa;
+  config.verify = item.verify;
+  config.regions = item.regions;
+  config.region_halo = item.region_halo;
+  config.tiling_cache = &cache_;
+  config.planners = planners_;
+  config.tune_cache = &tune_cache_;
+  config.tune_trials = item.tune_trials;
+  config.tune_budget_ms = item.tune_budget_ms;
+  // Families bucket by scenario name, so a sweep's items of the same
+  // family share tuned configs (and the distributed shards of one sweep
+  // agree on them).
+  config.tune_family = item.query.scenario;
+  return config;
 }
 
 std::vector<BatchItem> PlanService::registry_batch(

@@ -669,10 +669,8 @@ std::vector<PlanResult> PlanSession::replan() {
       break;
     }
   }
-  stats_.regions = std::max(stats_.regions, region_stats.regions);
+  stats_ += region_stats;
   stats_.regions_replanned += region_stats.regions_planned;
-  stats_.seam_sensors += region_stats.seam_sensors;
-  stats_.stitch_recolored += region_stats.stitch_recolored;
   ++stats_.replans;
   return results;
 }

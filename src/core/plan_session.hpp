@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/plan_counters.hpp"
 #include "core/planner.hpp"
 #include "core/tiling_cache.hpp"
 
@@ -206,17 +207,17 @@ class PlanSession {
   /// Deltas applied so far.
   std::uint64_t steps_applied() const { return stats_.deltas; }
 
-  /// Incremental-reuse accounting (what the session saved).
-  struct Stats {
+  /// Incremental-reuse accounting (what the session saved).  Of the
+  /// PlanCounters the session fills the region counters; the cache and
+  /// tune counters stay 0 here, because a shared cache's traffic can
+  /// only be attributed by its owner (PlanService, PlanServer).
+  struct Stats : PlanCounters {
     std::uint64_t replans = 0;
     std::uint64_t deltas = 0;
     std::uint64_t graph_builds = 0;   ///< full build_conflict_graph runs
     std::uint64_t graph_patches = 0;  ///< incremental patches instead
     std::uint64_t warm_greedy = 0;    ///< greedy replans seeded warm
-    std::uint64_t regions = 0;            ///< largest region partition planned
     std::uint64_t regions_replanned = 0;  ///< region shards (re)colored
-    std::uint64_t seam_sensors = 0;       ///< seam sensors seen by stitches
-    std::uint64_t stitch_recolored = 0;   ///< vertices stitches recolored
   };
   const Stats& stats() const { return stats_; }
 

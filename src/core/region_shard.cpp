@@ -252,8 +252,13 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
     stats->regions += total;
     stats->regions_planned += planned.size();
     stats->seam_sensors += seam_count;
+    // A recolor moves a sensor off a color it already held.  Dirty
+    // members of a warm plan enter uncolored, so repairing them is not
+    // one; cold plans enter fully colored and count every change.
     for (std::size_t i = 0; i < n; ++i) {
-      if (colors[i] != before[i]) ++stats->stitch_recolored;
+      if (before[i] != kUncolored && colors[i] != before[i]) {
+        ++stats->stitch_recolored;
+      }
     }
   }
   return colors;

@@ -32,20 +32,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/plan_counters.hpp"
 #include "graph/coloring.hpp"
 #include "graph/interference.hpp"
 #include "lattice/region.hpp"
 
 namespace latticesched {
 
-/// Counters of one plan_regions call.  PlanSession accumulates them into
-/// SessionStats; the batch service and the distributed coordinator merge
-/// them into the report footer.
-struct RegionShardStats {
-  std::uint64_t regions = 0;          ///< shards in the partition
-  std::uint64_t regions_planned = 0;  ///< shards (re)colored by this call
-  std::uint64_t seam_sensors = 0;     ///< planned sensors with cross-region conflicts
-  std::uint64_t stitch_recolored = 0; ///< vertices the stitch pass recolored
+/// Counters of plan_regions calls (accumulated when a caller passes the
+/// same struct to several).  PlanCounters carries `regions` (shards in
+/// the partition), `seam_sensors` and `stitch_recolored`; PlanSession
+/// merges them into its Stats with PlanCounters::operator+=.
+struct RegionShardStats : PlanCounters {
+  std::uint64_t regions_planned = 0;  ///< shards (re)colored
 };
 
 /// The spatial partition: disjoint core boxes covering the deployment's

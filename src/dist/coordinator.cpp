@@ -17,6 +17,7 @@
 #include "dist/faults.hpp"
 #include "dist/process.hpp"
 #include "dist/wire.hpp"
+#include "util/json.hpp"
 
 namespace latticesched::dist {
 
@@ -410,20 +411,7 @@ BatchReport ShardCoordinator::run(const std::vector<BatchItem>& items) {
       fallback.tune_cache().set_persist_dir(config_.cache_dir);
     }
     const BatchReport sub_report = fallback.run(sub);
-    merged.cache_hits += sub_report.cache_hits;
-    merged.cache_misses += sub_report.cache_misses;
-    merged.search_subtree_tasks += sub_report.search_subtree_tasks;
-    merged.search_steals += sub_report.search_steals;
-    if (!sub_report.search_kernel.empty()) {
-      merged.search_kernel = sub_report.search_kernel;
-    }
-    merged.regions = std::max(merged.regions, sub_report.regions);
-    merged.seam_sensors += sub_report.seam_sensors;
-    merged.stitch_recolored += sub_report.stitch_recolored;
-    merged.tune_hits += sub_report.tune_hits;
-    merged.tune_misses += sub_report.tune_misses;
-    merged.tune_searches += sub_report.tune_searches;
-    merged.tune_trials_run += sub_report.tune_trials_run;
+    merged += sub_report;
     for (std::size_t k = 0; k < leftover.size(); ++k) {
       merged.items[leftover[k]] = sub_report.items[k];
     }
@@ -540,7 +528,8 @@ BatchReport ShardCoordinator::run(const std::vector<BatchItem>& items) {
         }
         std::string shard_id, report_json;
         split_body(message.body, &shard_id, &report_json);
-        const std::size_t shard = std::stoull(shard_id);
+        // A bogus id maps out of range: "does not own" below.
+        const std::size_t shard = parse_u64(shard_id).value_or(shards.size());
         const auto owned =
             shard < shards.size()
                 ? std::find(s.queue.begin(), s.queue.end(), shard)
@@ -557,28 +546,8 @@ BatchReport ShardCoordinator::run(const std::vector<BatchItem>& items) {
               std::to_string(report.items.size()) + " items, expected " +
               std::to_string(shards[shard].size()));
         }
-        merged.cache_hits += report.cache_hits;
-        merged.cache_misses += report.cache_misses;
-        merged.search_subtree_tasks += report.search_subtree_tasks;
-        merged.search_steals += report.search_steals;
-        if (!report.search_kernel.empty()) {
-          merged.search_kernel = report.search_kernel;
-        }
-        merged.regions = std::max(merged.regions, report.regions);
-        merged.seam_sensors += report.seam_sensors;
-        merged.stitch_recolored += report.stitch_recolored;
-        merged.tune_hits += report.tune_hits;
-        merged.tune_misses += report.tune_misses;
-        merged.tune_searches += report.tune_searches;
-        merged.tune_trials_run += report.tune_trials_run;
-        worker_stats_[w].cache_hits += report.cache_hits;
-        worker_stats_[w].cache_misses += report.cache_misses;
-        worker_stats_[w].search_subtree_tasks += report.search_subtree_tasks;
-        worker_stats_[w].search_steals += report.search_steals;
-        worker_stats_[w].tune_hits += report.tune_hits;
-        worker_stats_[w].tune_misses += report.tune_misses;
-        worker_stats_[w].tune_searches += report.tune_searches;
-        worker_stats_[w].tune_trials += report.tune_trials_run;
+        merged += report;
+        worker_stats_[w] += report;
         ++worker_stats_[w].shards_completed;
         s.queue.erase(owned);
         for (std::size_t k = 0; k < shards[shard].size(); ++k) {

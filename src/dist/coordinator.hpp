@@ -106,25 +106,12 @@ struct CoordinatorConfig {
   std::string fault_plan;
 };
 
-/// Per-worker accounting surfaced by the driver's --cache-stats footer.
-/// A respawned slot accumulates across its generations; pid is the
-/// latest generation's.
-struct WorkerCacheStats {
+/// Per-worker accounting surfaced by the driver's --cache-stats footer:
+/// the PlanCounters of every shard this worker returned, merged, plus
+/// its process history.  A respawned slot accumulates across its
+/// generations; pid is the latest generation's.
+struct WorkerCacheStats : PlanCounters {
   pid_t pid = -1;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Work-stealing torus-search counters of this worker's searches
-  /// (BatchReport::search_subtree_tasks / search_steals, summed over its
-  /// shards).
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  /// Auto-backend tuning counters of this worker's shards
-  /// (BatchReport::{tune_hits, tune_misses, tune_searches,
-  /// tune_trials_run}, summed).
-  std::uint64_t tune_hits = 0;
-  std::uint64_t tune_misses = 0;
-  std::uint64_t tune_searches = 0;
-  std::uint64_t tune_trials = 0;
   std::size_t shards_completed = 0;
   bool failed = false;     ///< some generation crashed or exited nonzero
   bool timed_out = false;  ///< some generation was killed for a missed deadline

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/json.hpp"
+
 namespace latticesched::dist {
 
 namespace {
@@ -32,15 +34,7 @@ std::string value_of(const std::string& token, const std::string& key) {
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault-plan: bad " + what + " '" + text +
-                                "'");
-  }
+  return latticesched::parse_u64(text, "fault-plan: bad " + what);
 }
 
 int parse_worker_target(const std::string& text) {

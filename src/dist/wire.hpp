@@ -48,7 +48,10 @@ namespace latticesched::dist {
 /// columns and batch reports the "tuning" footer line (tune-cache
 /// hit/miss/search/trial counters) — a v6 coordinator would silently
 /// drop a v7 worker's tuning counters from the merged report.
-inline constexpr int kProtocolVersion = 7;
+/// v8: the serve CLOSE body carries every PlanCounters field
+/// (core/plan_counters.hpp), tune counters included, and the server no
+/// longer answers ASSIGN — a v7 client would drop the tune counters.
+inline constexpr int kProtocolVersion = 8;
 
 /// Frames larger than this are a protocol error, not an allocation —
 /// guards the reader against garbage length prefixes.

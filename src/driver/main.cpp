@@ -38,13 +38,12 @@
 // --worker is the internal worker-process entry point.
 //
 // --serve runs the TCP planning server (src/serve): long-lived sessions
-// over wire-protocol v6, many clients multiplexed over one shared pool
-// and TilingCache, stopped gracefully by SIGTERM/SIGINT.  --listen is
-// the same listener worn as a remote worker (its ASSIGN verb serves
-// coordinator-style batches).  --connect host:port points this driver
-// at such a server: every scenario/backend/steps flag works unchanged,
-// the batch runs through server sessions, and --cache-stats reports the
-// per-session counters the server sent back.
+// over the wire protocol, many clients multiplexed over one shared pool
+// and TilingCache, stopped gracefully by SIGTERM/SIGINT.  --connect
+// host:port points this driver at such a server: every scenario/backend/
+// steps flag works unchanged, the batch runs through server sessions,
+// and --cache-stats reports the per-session counters the server sent
+// back.
 #include <csignal>
 #include <cstdio>
 #include <cerrno>
@@ -172,7 +171,7 @@ void stop_signal_handler(int) {
   (void)!::write(g_stop_pipe[1], &byte, 1);
 }
 
-/// `latticesched --serve` / `--listen`: run a PlanServer until a stop
+/// `latticesched --serve`: run a PlanServer until a stop
 /// signal, then shut down gracefully and report what was served.
 int run_serve(const CliParser& cli) {
   serve::ServerConfig config;
@@ -206,14 +205,13 @@ int run_serve(const CliParser& cli) {
   std::printf(
       "serve: shutdown: %llu connection(s) accepted (%llu dropped by "
       "faults), %llu session(s) opened, %llu closed, %zu still open, "
-      "%llu event(s) pushed, %llu assign batch(es)\n",
+      "%llu event(s) pushed\n",
       static_cast<unsigned long long>(stats.connections_accepted),
       static_cast<unsigned long long>(stats.connections_dropped),
       static_cast<unsigned long long>(stats.sessions_opened),
       static_cast<unsigned long long>(stats.sessions_closed),
       stats.open_sessions,
-      static_cast<unsigned long long>(stats.events_pushed),
-      static_cast<unsigned long long>(stats.assigns_served));
+      static_cast<unsigned long long>(stats.events_pushed));
   if (const std::int64_t cap_mb = cli.get_int("cache-max-mb");
       cap_mb > 0 && !config.cache_dir.empty()) {
     const TilingCache::SweepStats swept = TilingCache::sweep_persist_dir(
@@ -304,12 +302,7 @@ int run(int argc, char** argv) {
                "docs/API.md) forwarded to workers for chaos testing");
   cli.add_flag("serve", "false",
                "run the TCP planning server on --host/--port (session "
-               "verbs and worker ASSIGN; SIGTERM/SIGINT stop it "
-               "gracefully)");
-  cli.add_flag("listen", "false",
-               "alias of --serve for remote-worker mode: the same "
-               "listener serves ASSIGN batches a coordinator-style "
-               "client can drive");
+               "verbs; SIGTERM/SIGINT stop it gracefully)");
   cli.add_flag("host", "127.0.0.1",
                "bind address for --serve (0.0.0.0 = any interface)");
   cli.add_int_flag("port", 0, 0, 65535,
@@ -370,7 +363,7 @@ int run(int argc, char** argv) {
                             options);
   }
 
-  if (cli.get_bool("serve") || cli.get_bool("listen")) {
+  if (cli.get_bool("serve")) {
     if (!cli.get_string("connect").empty()) {
       std::fprintf(stderr, "--serve and --connect are mutually exclusive\n");
       return 2;
@@ -595,28 +588,13 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  // --cache-stats: per-worker counter breakdown when distributed, the
-  // service cache (including disk warm-start hits) when in-process.
+  // --cache-stats: per-session or per-worker counter breakdowns for
+  // remote and distributed runs, the service caches (including disk
+  // warm-start hits) when in-process; then the batch's PlanCounters.
   const auto print_cache_stats = [&](std::FILE* out) {
-    // Tune-cache footer shared by all three modes; silent when the batch
-    // never touched the auto backend.
-    const auto print_tune_totals = [&](std::FILE* o) {
-      if (report.tune_hits + report.tune_misses + report.tune_searches +
-              report.tune_trials_run ==
-          0) {
-        return;
-      }
-      std::fprintf(o,
-                   "tune-stats: %llu hit(s), %llu miss(es), %llu "
-                   "search(es), %llu trial(s)\n",
-                   static_cast<unsigned long long>(report.tune_hits),
-                   static_cast<unsigned long long>(report.tune_misses),
-                   static_cast<unsigned long long>(report.tune_searches),
-                   static_cast<unsigned long long>(report.tune_trials_run));
-    };
     if (client.has_value()) {
       // Remote run: per-session counters the server attributed to each
-      // session over v6 frames, then the batch totals.
+      // session in its CLOSE replies, then the batch totals.
       for (const auto& [label, s] : client->session_stats()) {
         std::fprintf(
             out,
@@ -634,22 +612,12 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(report.cache_hits),
                    static_cast<unsigned long long>(report.cache_misses),
                    connect_spec.c_str());
-      if (!report.search_kernel.empty()) {
-        std::fprintf(
-            out,
-            "search-stats: %llu subtree task(s), %llu steal(s), "
-            "kernel=%s\n",
-            static_cast<unsigned long long>(report.search_subtree_tasks),
-            static_cast<unsigned long long>(report.search_steals),
-            report.search_kernel.c_str());
-      }
-      print_tune_totals(out);
     } else if (coordinator.has_value()) {
       for (std::size_t w = 0; w < coordinator->worker_stats().size(); ++w) {
         const dist::WorkerCacheStats& s = coordinator->worker_stats()[w];
         std::string notes;
-        if (s.tune_hits + s.tune_misses + s.tune_searches + s.tune_trials >
-            0) {
+        if (s.tune_hits + s.tune_misses + s.tune_searches +
+                s.tune_trials_run > 0) {
           notes += ", " + std::to_string(s.tune_hits) + " tune hit(s), " +
                    std::to_string(s.tune_searches) + " tune search(es)";
         }
@@ -679,16 +647,6 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(report.worker_failures),
                    static_cast<unsigned long long>(report.worker_timeouts),
                    report.degraded ? " [DEGRADED]" : "");
-      if (!report.search_kernel.empty()) {
-        std::fprintf(
-            out,
-            "search-stats: %llu subtree task(s), %llu steal(s), "
-            "kernel=%s\n",
-            static_cast<unsigned long long>(report.search_subtree_tasks),
-            static_cast<unsigned long long>(report.search_steals),
-            report.search_kernel.c_str());
-      }
-      print_tune_totals(out);
     } else {
       const TilingCache::Stats s = service.tiling_cache().stats();
       std::fprintf(out,
@@ -697,15 +655,16 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(s.hits),
                    static_cast<unsigned long long>(s.disk_hits),
                    static_cast<unsigned long long>(s.misses), s.entries);
-      if (!s.search_kernel.empty()) {
-        std::fprintf(
-            out,
-            "search-stats: %llu subtree task(s), %llu steal(s), "
-            "kernel=%s\n",
-            static_cast<unsigned long long>(s.search_subtree_tasks),
-            static_cast<unsigned long long>(s.search_steals),
-            s.search_kernel.c_str());
-      }
+    }
+    if (!report.search_kernel.empty()) {
+      std::fprintf(
+          out, "search-stats: %llu subtree task(s), %llu steal(s), kernel=%s\n",
+          static_cast<unsigned long long>(report.search_subtree_tasks),
+          static_cast<unsigned long long>(report.search_steals),
+          report.search_kernel.c_str());
+    }
+    // Tune footer; silent when the batch never touched the auto backend.
+    if (!client.has_value() && !coordinator.has_value()) {
       const tune::TuneCache::Stats t = service.tune_cache().stats();
       if (t.hits + t.misses + t.searches + t.trials > 0) {
         std::fprintf(out,
@@ -718,6 +677,15 @@ int run(int argc, char** argv) {
                      static_cast<unsigned long long>(t.searches),
                      static_cast<unsigned long long>(t.trials), t.entries);
       }
+    } else if (report.tune_hits + report.tune_misses + report.tune_searches +
+                   report.tune_trials_run > 0) {
+      std::fprintf(out,
+                   "tune-stats: %llu hit(s), %llu miss(es), %llu "
+                   "search(es), %llu trial(s)\n",
+                   static_cast<unsigned long long>(report.tune_hits),
+                   static_cast<unsigned long long>(report.tune_misses),
+                   static_cast<unsigned long long>(report.tune_searches),
+                   static_cast<unsigned long long>(report.tune_trials_run));
     }
     if (report.regions > 0) {
       std::fprintf(out,

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace latticesched::serve {
 
 using dist::WireIoStatus;
@@ -17,33 +19,6 @@ namespace {
 /// never escapes PlanClient.
 struct TransportLost {};
 
-/// Extracts the value after `"key": ` in a one-line JSON object
-/// (numbers and escape-free strings — all the serve headers carry).
-std::string json_value(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) {
-    throw std::invalid_argument("serve client: missing key '" + key +
-                                "' in '" + obj + "'");
-  }
-  std::size_t pos = at + needle.size();
-  if (pos < obj.size() && obj[pos] == '"') {
-    const std::size_t end = obj.find('"', pos + 1);
-    if (end == std::string::npos) {
-      throw std::invalid_argument("serve client: unterminated string for '" +
-                                  key + "'");
-    }
-    return obj.substr(pos + 1, end - pos - 1);
-  }
-  std::size_t end = pos;
-  while (end < obj.size() && obj[end] != ',' && obj[end] != '}') ++end;
-  return obj.substr(pos, end - pos);
-}
-
-std::uint64_t json_u64(const std::string& obj, const std::string& key) {
-  return std::stoull(json_value(obj, key));
-}
-
 /// Parses a REPLAN RESULT / EVENT body:
 /// "<id>\n{header}\n" + plan_results_to_json rows.
 ReplanOutcome parse_replan_body(const std::string& body) {
@@ -52,9 +27,9 @@ ReplanOutcome parse_replan_body(const std::string& body) {
   std::string header, rows_json;
   dist::split_body(rest, &header, &rows_json);
   ReplanOutcome out;
-  out.session = json_u64(header, "session");
-  out.step = json_u64(header, "step");
-  out.sensors = static_cast<std::size_t>(json_u64(header, "sensors"));
+  out.session = json_uint_field(header, "session");
+  out.step = json_uint_field(header, "step");
+  out.sensors = static_cast<std::size_t>(json_uint_field(header, "sensors"));
   out.rows = parse_plan_results_json(rows_json);
   return out;
 }
@@ -92,7 +67,7 @@ void PlanClient::connect() {
     throw std::runtime_error("serve client: no HELLO from " + config_.host +
                              ":" + std::to_string(config_.port));
   }
-  const std::uint64_t protocol = json_u64(hello.body, "protocol");
+  const std::uint64_t protocol = json_uint_field(hello.body, "protocol");
   if (protocol != static_cast<std::uint64_t>(dist::kProtocolVersion)) {
     channel_.reset();
     throw std::runtime_error(
@@ -152,12 +127,13 @@ OpenInfo PlanClient::open(const BatchItem& item) {
   std::string id_line, header;
   dist::split_body(reply.body, &id_line, &header);
   OpenInfo info;
-  info.session = json_u64(header, "session");
-  info.scenario = json_value(header, "scenario");
-  info.label = json_value(header, "label");
-  info.sensors = static_cast<std::size_t>(json_u64(header, "sensors"));
-  info.channels = static_cast<std::uint32_t>(json_u64(header, "channels"));
-  info.pending = static_cast<std::size_t>(json_u64(header, "pending"));
+  info.session = json_uint_field(header, "session");
+  info.scenario = json_field(header, "scenario");
+  info.label = json_field(header, "label");
+  info.sensors = static_cast<std::size_t>(json_uint_field(header, "sensors"));
+  info.channels =
+      static_cast<std::uint32_t>(json_uint_field(header, "channels"));
+  info.pending = static_cast<std::size_t>(json_uint_field(header, "pending"));
   next_seq_[info.session] = 0;
   return info;
 }
@@ -175,11 +151,11 @@ DeltaInfo PlanClient::delta_script(std::uint64_t session,
   std::string id_line, header;
   dist::split_body(reply.body, &id_line, &header);
   DeltaInfo info;
-  info.session = json_u64(header, "session");
-  info.seq = json_u64(header, "seq");
-  info.step = json_u64(header, "step");
-  info.sensors = static_cast<std::size_t>(json_u64(header, "sensors"));
-  info.pending = static_cast<std::size_t>(json_u64(header, "pending"));
+  info.session = json_uint_field(header, "session");
+  info.seq = json_uint_field(header, "seq");
+  info.step = json_uint_field(header, "step");
+  info.sensors = static_cast<std::size_t>(json_uint_field(header, "sensors"));
+  info.pending = static_cast<std::size_t>(json_uint_field(header, "pending"));
   next_seq_[session] = seq + 1;
   return info;
 }
@@ -233,7 +209,6 @@ BatchReport PlanClient::run_items(const std::vector<BatchItem>& items) {
   BatchReport report;
   report.items.resize(items.size());
   session_stats_.clear();
-  std::uint64_t regions_max = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
     BatchItemReport& out = report.items[i];
@@ -269,16 +244,7 @@ BatchReport PlanClient::run_items(const std::vector<BatchItem>& items) {
 
       const SessionWireStats stats = close_session(session);
       session_stats_.emplace_back(out.label, stats);
-      report.cache_hits += stats.cache_hits;
-      report.cache_misses += stats.cache_misses;
-      report.search_subtree_tasks += stats.search_subtree_tasks;
-      report.search_steals += stats.search_steals;
-      if (!stats.search_kernel.empty()) {
-        report.search_kernel = stats.search_kernel;
-      }
-      if (stats.regions > regions_max) regions_max = stats.regions;
-      report.seam_sensors += stats.seam_sensors;
-      report.stitch_recolored += stats.stitch_recolored;
+      report += stats;
     } catch (const ServerError& e) {
       // Same surface as the local run's per-item catch: the item
       // reports its failure, the batch carries on.
@@ -295,7 +261,6 @@ BatchReport PlanClient::run_items(const std::vector<BatchItem>& items) {
       }
     }
   }
-  report.regions = regions_max;
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();

@@ -9,6 +9,7 @@
 #include "core/report.hpp"
 #include "core/scenario.hpp"
 #include "dist/wire.hpp"
+#include "util/json.hpp"
 
 namespace latticesched::serve {
 
@@ -23,42 +24,6 @@ namespace {
 /// noticed promptly, long enough to stay off the scheduler's back.
 constexpr int kReadSliceMs = 200;
 
-std::uint64_t parse_u64_text(const std::string& text, const char* what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("serve: bad ") + what + " '" +
-                                text + "'");
-  }
-}
-
-/// Extracts the value after `"key": ` in a one-line JSON object
-/// (numbers and quoted strings without escapes — the stats/header
-/// schemas emitted below never need more).
-std::string json_value(const std::string& obj, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) {
-    throw std::invalid_argument("serve: missing key '" + key + "' in '" +
-                                obj + "'");
-  }
-  std::size_t pos = at + needle.size();
-  if (pos < obj.size() && obj[pos] == '"') {
-    const std::size_t end = obj.find('"', pos + 1);
-    if (end == std::string::npos) {
-      throw std::invalid_argument("serve: unterminated string for '" + key +
-                                  "'");
-    }
-    return obj.substr(pos + 1, end - pos - 1);
-  }
-  std::size_t end = pos;
-  while (end < obj.size() && obj[end] != ',' && obj[end] != '}') ++end;
-  return obj.substr(pos, end - pos);
-}
-
 }  // namespace
 
 std::string session_stats_to_json(const SessionWireStats& stats) {
@@ -68,44 +33,20 @@ std::string session_stats_to_json(const SessionWireStats& stats) {
      << ", \"graph_builds\": " << stats.graph_builds
      << ", \"graph_patches\": " << stats.graph_patches
      << ", \"warm_greedy\": " << stats.warm_greedy
-     << ", \"regions\": " << stats.regions
-     << ", \"regions_replanned\": " << stats.regions_replanned
-     << ", \"seam_sensors\": " << stats.seam_sensors
-     << ", \"stitch_recolored\": " << stats.stitch_recolored
-     << ", \"cache_hits\": " << stats.cache_hits
-     << ", \"cache_misses\": " << stats.cache_misses
-     << ", \"search_subtree_tasks\": " << stats.search_subtree_tasks
-     << ", \"search_steals\": " << stats.search_steals
-     << ", \"search_kernel\": \"" << stats.search_kernel << "\"}";
+     << ", \"regions_replanned\": " << stats.regions_replanned << ", "
+     << counter_fields_to_json(stats) << "}";
   return os.str();
 }
 
 SessionWireStats session_stats_from_json(const std::string& json) {
   SessionWireStats stats;
-  stats.replans = parse_u64_text(json_value(json, "replans"), "replans");
-  stats.deltas = parse_u64_text(json_value(json, "deltas"), "deltas");
-  stats.graph_builds =
-      parse_u64_text(json_value(json, "graph_builds"), "graph_builds");
-  stats.graph_patches =
-      parse_u64_text(json_value(json, "graph_patches"), "graph_patches");
-  stats.warm_greedy =
-      parse_u64_text(json_value(json, "warm_greedy"), "warm_greedy");
-  stats.regions = parse_u64_text(json_value(json, "regions"), "regions");
-  stats.regions_replanned = parse_u64_text(
-      json_value(json, "regions_replanned"), "regions_replanned");
-  stats.seam_sensors =
-      parse_u64_text(json_value(json, "seam_sensors"), "seam_sensors");
-  stats.stitch_recolored = parse_u64_text(
-      json_value(json, "stitch_recolored"), "stitch_recolored");
-  stats.cache_hits =
-      parse_u64_text(json_value(json, "cache_hits"), "cache_hits");
-  stats.cache_misses =
-      parse_u64_text(json_value(json, "cache_misses"), "cache_misses");
-  stats.search_subtree_tasks = parse_u64_text(
-      json_value(json, "search_subtree_tasks"), "search_subtree_tasks");
-  stats.search_steals =
-      parse_u64_text(json_value(json, "search_steals"), "search_steals");
-  stats.search_kernel = json_value(json, "search_kernel");
+  stats.replans = json_uint_field(json, "replans");
+  stats.deltas = json_uint_field(json, "deltas");
+  stats.graph_builds = json_uint_field(json, "graph_builds");
+  stats.graph_patches = json_uint_field(json, "graph_patches");
+  stats.warm_greedy = json_uint_field(json, "warm_greedy");
+  stats.regions_replanned = json_uint_field(json, "regions_replanned");
+  counter_fields_from_json(json, &stats);
   return stats;
 }
 
@@ -154,13 +95,10 @@ struct PlanServer::WireSession {
   WireMessage last_delta_ok;
   WireMessage open_ok;  ///< replayed on an idempotent re-OPEN
 
-  /// This session's share of the shared cache traffic (before/after
-  /// snapshots around its replans; approximate under concurrency).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  std::string search_kernel;
+  /// This session's share of the shared cache and tune traffic
+  /// (before/after snapshots around its replans; approximate under
+  /// concurrency).
+  PlanCounters traffic;
 
   /// EVENT-stream subscribers (pruned lazily as connections die).
   std::vector<std::weak_ptr<Connection>> subscribers;
@@ -219,7 +157,6 @@ PlanServer::Stats PlanServer::stats() const {
   stats.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   stats.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
   stats.events_pushed = events_pushed_.load(std::memory_order_relaxed);
-  stats.assigns_served = assigns_served_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     stats.open_sessions = sessions_.size();
@@ -311,8 +248,6 @@ bool PlanServer::handle_message(Connection& conn,
       handle_subscribe(conn, message.body);
     } else if (message.verb == "CLOSE") {
       handle_close(conn, message.body);
-    } else if (message.verb == "ASSIGN") {
-      handle_assign(conn, message.body);
     } else {
       // Unknown verbs answer ERROR and leave the connection (and its
       // sessions) alone — a typo'd client verb is not a protocol loss.
@@ -327,7 +262,7 @@ bool PlanServer::handle_message(Connection& conn,
 
 std::shared_ptr<PlanServer::WireSession> PlanServer::find_session(
     const std::string& id_text, std::uint64_t* id) {
-  *id = parse_u64_text(id_text, "session id");
+  *id = parse_u64(id_text, "serve: bad session id");
   std::lock_guard<std::mutex> lock(sessions_mu_);
   const auto it = sessions_.find(*id);
   if (it == sessions_.end()) {
@@ -386,22 +321,10 @@ void PlanServer::handle_open(Connection& conn, const std::string& body) {
   }
   ws->pending = std::move(trace.steps);
 
-  SessionConfig config;
-  config.backends = item.backends;
-  config.search = item.search;
-  config.sa = item.sa;
-  config.verify = item.verify;
-  config.regions = item.regions;
-  config.region_halo = item.region_halo;
+  SessionConfig config = service_.session_config(item);
   config.channels = ws->channels;
   if (ws->lattice.has_value()) config.lattice = &*ws->lattice;
   if (ws->tiling.has_value()) config.tiling = &*ws->tiling;
-  config.tiling_cache = &service_.tiling_cache();
-  config.planners = &PlannerRegistry::global();
-  config.tune_cache = &service_.tune_cache();
-  config.tune_trials = item.tune_trials;
-  config.tune_budget_ms = item.tune_budget_ms;
-  config.tune_family = item.query.scenario;
   ws->session =
       std::make_unique<PlanSession>(std::move(instance.deployment), config);
 
@@ -436,7 +359,7 @@ void PlanServer::handle_delta(Connection& conn, const std::string& body) {
   const std::shared_ptr<WireSession> ws =
       find_session(first.substr(0, space), &id);
   const std::uint64_t seq =
-      parse_u64_text(first.substr(space + 1), "delta seq");
+      parse_u64(first.substr(space + 1), "serve: bad delta seq");
 
   std::lock_guard<std::mutex> lock(ws->mu);
   if (seq + 1 == ws->next_delta_seq) {
@@ -485,15 +408,13 @@ void PlanServer::handle_replan(Connection& conn, const std::string& body) {
   const std::shared_ptr<WireSession> ws = find_session(first, &id);
 
   std::lock_guard<std::mutex> lock(ws->mu);
-  const TilingCache::Stats before = service_.tiling_cache().stats();
+  const auto snapshot = [this] {
+    return CounterSnapshot{service_.tiling_cache().stats(),
+                           service_.tune_cache().stats()};
+  };
+  const CounterSnapshot before = snapshot();
   const std::vector<PlanResult> results = ws->session->replan();
-  const TilingCache::Stats after = service_.tiling_cache().stats();
-  ws->cache_hits += after.hits - before.hits;
-  ws->cache_misses += after.misses - before.misses;
-  ws->search_subtree_tasks +=
-      after.search_subtree_tasks - before.search_subtree_tasks;
-  ws->search_steals += after.search_steals - before.search_steals;
-  if (!after.search_kernel.empty()) ws->search_kernel = after.search_kernel;
+  ws->traffic += counters_between(before, snapshot());
 
   std::ostringstream os;
   os << id << "\n{\"session\": " << id << ", \"step\": " << ws->last_step
@@ -549,7 +470,7 @@ void PlanServer::handle_subscribe(Connection& conn,
 void PlanServer::handle_close(Connection& conn, const std::string& body) {
   std::string first, rest;
   dist::split_body(body, &first, &rest);
-  const std::uint64_t id = parse_u64_text(first, "session id");
+  const std::uint64_t id = parse_u64(first, "serve: bad session id");
   std::shared_ptr<WireSession> ws;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -568,34 +489,10 @@ void PlanServer::handle_close(Connection& conn, const std::string& body) {
   sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> lock(ws->mu);
-  const PlanSession::Stats& st = ws->session->stats();
-  SessionWireStats stats;
-  stats.replans = st.replans;
-  stats.deltas = st.deltas;
-  stats.graph_builds = st.graph_builds;
-  stats.graph_patches = st.graph_patches;
-  stats.warm_greedy = st.warm_greedy;
-  stats.regions = st.regions;
-  stats.regions_replanned = st.regions_replanned;
-  stats.seam_sensors = st.seam_sensors;
-  stats.stitch_recolored = st.stitch_recolored;
-  stats.cache_hits = ws->cache_hits;
-  stats.cache_misses = ws->cache_misses;
-  stats.search_subtree_tasks = ws->search_subtree_tasks;
-  stats.search_steals = ws->search_steals;
-  stats.search_kernel = ws->search_kernel;
+  SessionWireStats stats = ws->session->stats();
+  stats += ws->traffic;
   (void)send(conn,
              {"OK", first + "\n" + session_stats_to_json(stats)});
-}
-
-void PlanServer::handle_assign(Connection& conn, const std::string& body) {
-  std::string shard_id, items_json;
-  dist::split_body(body, &shard_id, &items_json);
-  const std::vector<BatchItem> items = parse_batch_items_json(items_json);
-  const BatchReport report = service_.run(items);
-  assigns_served_.fetch_add(1, std::memory_order_relaxed);
-  (void)send(conn,
-             {"RESULT", shard_id + "\n" + batch_report_to_json(report)});
 }
 
 }  // namespace latticesched::serve

@@ -10,10 +10,10 @@
 // result-identical to a local PlanSession over the same deltas (the
 // session IS a PlanSession; pinned by tests/test_serve.cpp).
 //
-// Frame schemas (wire protocol v6; every body is text, frames are the
-// length-prefixed format of src/dist/wire.hpp).  On accept the server
-// sends HELLO `{"protocol": 6, "role": "server"}`; a client verifies
-// the version before its first request.  Client -> server verbs:
+// Frame schemas (every body is text, frames are the length-prefixed
+// format of src/dist/wire.hpp).  On accept the server sends HELLO
+// `{"protocol": 8, "role": "server"}` (dist::kProtocolVersion); a client
+// verifies the version before its first request.  Client -> server verbs:
 //
 //   OPEN       "<token>\n" + batch_items_to_json (exactly one item).
 //              Builds the scenario, opens a PlanSession on it, queues
@@ -44,12 +44,8 @@
 //              EVENT stream.  -> OK "<id>\n{"session": id,
 //              "subscribed": true}"
 //   CLOSE      "<id>".  Ends the session and returns its stats.
-//              -> OK "<id>\n" + session_stats_to_json
-//   ASSIGN     "<shard>\n" + batch_items_to_json (any item count) —
-//              the distributed worker verb, served through the same
-//              listener so `--listen` makes this process a remote
-//              worker a ShardCoordinator can drive over TCP.
-//              -> RESULT "<shard>\n" + batch_report_to_json
+//              -> OK "<id>\n" + session_stats_to_json (v8 added the
+//              tune counters)
 //   PING       -> PONG (liveness; not counted by the fault injector)
 //   SHUTDOWN   closes this connection (sessions survive)
 //
@@ -79,33 +75,19 @@
 #include <vector>
 
 #include "core/plan_service.hpp"
+#include "core/plan_session.hpp"
 #include "dist/faults.hpp"
 #include "serve/tcp.hpp"
 
 namespace latticesched::serve {
 
 /// Per-session accounting returned by CLOSE: the PlanSession's
-/// incremental-reuse counters plus this session's share of the shared
-/// TilingCache traffic.  Cache attribution is a before/after snapshot
-/// around each of the session's operations — exact for a lone client,
-/// approximate (attribution may smear between sessions, totals stay
-/// exact) when sessions plan concurrently.
-struct SessionWireStats {
-  std::uint64_t replans = 0;
-  std::uint64_t deltas = 0;
-  std::uint64_t graph_builds = 0;
-  std::uint64_t graph_patches = 0;
-  std::uint64_t warm_greedy = 0;
-  std::uint64_t regions = 0;
-  std::uint64_t regions_replanned = 0;
-  std::uint64_t seam_sensors = 0;
-  std::uint64_t stitch_recolored = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  std::string search_kernel;
-};
+/// incremental-reuse and region counters plus this session's share of
+/// the shared TilingCache and TuneCache traffic.  That share is a
+/// before/after snapshot around each of the session's replans — exact
+/// for a lone client, approximate (attribution may smear between
+/// sessions, totals stay exact) when sessions plan concurrently.
+using SessionWireStats = PlanSession::Stats;
 
 /// One-line JSON form of the CLOSE body (and its parser; round-trip
 /// exact — the client feeds the parse into the --cache-stats footer).
@@ -153,14 +135,12 @@ class PlanServer {
     std::uint64_t connections_dropped = 0;  ///< by drop-connection faults
     std::uint64_t sessions_opened = 0;
     std::uint64_t sessions_closed = 0;
-    std::uint64_t events_pushed = 0;   ///< EVENT frames sent to subscribers
-    std::uint64_t assigns_served = 0;  ///< worker-verb batches run
+    std::uint64_t events_pushed = 0;  ///< EVENT frames sent to subscribers
     std::size_t open_sessions = 0;
   };
   Stats stats() const;
 
-  /// The shared batch service (one TilingCache for every session and
-  /// ASSIGN batch).
+  /// The shared batch service (one TilingCache for every session).
   PlanService& service() { return service_; }
 
  private:
@@ -176,7 +156,6 @@ class PlanServer {
   void handle_replan(Connection& conn, const std::string& body);
   void handle_subscribe(Connection& conn, const std::string& body);
   void handle_close(Connection& conn, const std::string& body);
-  void handle_assign(Connection& conn, const std::string& body);
 
   std::shared_ptr<WireSession> find_session(const std::string& id_text,
                                             std::uint64_t* id);
@@ -205,7 +184,6 @@ class PlanServer {
   std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> sessions_closed_{0};
   std::atomic<std::uint64_t> events_pushed_{0};
-  std::atomic<std::uint64_t> assigns_served_{0};
 };
 
 }  // namespace latticesched::serve

@@ -12,6 +12,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/json.hpp"
+
 namespace latticesched::serve {
 
 namespace {
@@ -52,15 +54,7 @@ HostPort parse_host_port(const std::string& spec) {
   out.host = spec.substr(0, colon);
   if (out.host.empty()) out.host = "127.0.0.1";
   const std::string port_text = spec.substr(colon + 1);
-  unsigned long port = 0;
-  try {
-    std::size_t used = 0;
-    port = std::stoul(port_text, &used);
-    if (used != port_text.size()) throw std::invalid_argument(port_text);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("port is not a number: '" + port_text +
-                                "'");
-  }
+  const std::uint64_t port = parse_u64(port_text, "port is not a number:");
   if (port < 1 || port > 65535) {
     throw std::invalid_argument("port must be in [1, 65535], got " +
                                 port_text);

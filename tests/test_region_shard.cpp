@@ -290,6 +290,35 @@ TEST(RegionShard, ReportFooterRoundTripsRegionCounters) {
   EXPECT_EQ(parsed.stitch_recolored, 56u);
 }
 
+TEST(RegionShard, StitchRecolorsCountOnlySensorsThatHeldAColor) {
+  // One region has no seams, so nothing is ever stitched: the warm
+  // repairs of a failure trace are not stitch recolors.
+  BatchItem trace;
+  trace.query.scenario = "grid-failures";
+  trace.backends = {"region-greedy"};
+  trace.regions = 1;
+  PlanService service;
+  const BatchReport warm = service.run({trace});
+  ASSERT_TRUE(warm.all_ok());
+  ASSERT_GT(warm.items[0].steps.size(), 1u);
+  EXPECT_EQ(warm.regions, 1u);
+  EXPECT_EQ(warm.seam_sensors, 0u);
+  EXPECT_EQ(warm.stitch_recolored, 0u);
+
+  // A cold multi-region plan enters the stitch fully colored, so every
+  // change counts, as before.
+  BatchItem cold;
+  cold.query.scenario = "grid";
+  cold.query.params.n = 30;
+  cold.backends = {"region-greedy"};
+  cold.regions = 9;
+  const BatchReport sharded = service.run({cold});
+  ASSERT_TRUE(sharded.all_ok());
+  EXPECT_EQ(sharded.regions, 9u);
+  EXPECT_EQ(sharded.seam_sensors, 416u);
+  EXPECT_EQ(sharded.stitch_recolored, 800u);
+}
+
 TEST(RegionShard, BatchItemsRoundTripRegionKnobs) {
   BatchItem item;
   item.query.scenario = "grid-large";

@@ -1,6 +1,7 @@
 // Report serialization tests: CSV/JSON round-trips of PlanResult rows
 // (including the multichannel fields), schedule CSV with the channel
-// columns, and a golden-file pin of the driver's --format json output.
+// columns, the PlanCounters codecs and merge, and a golden-file pin of
+// the driver's --format json output.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,6 +10,7 @@
 #include "core/plan_service.hpp"
 #include "core/report.hpp"
 #include "core/serialization.hpp"
+#include "serve/server.hpp"
 #include "tiling/shapes.hpp"
 #include "util/parallel.hpp"
 
@@ -111,6 +113,84 @@ TEST(ReportSerialization, BatchReportEmittersCoverEveryItem) {
   for (std::size_t i = 0; i < json_rows.size(); ++i) {
     expect_rows_match(json_rows[i], csv_rows[i], /*with_detail=*/false);
   }
+}
+
+// Every numeric PlanCounters member (the kernel string is checked
+// beside them).
+const std::pair<const char*, std::uint64_t PlanCounters::*> kCounts[] = {
+    {"cache_hits", &PlanCounters::cache_hits},
+    {"cache_misses", &PlanCounters::cache_misses},
+    {"search_subtree_tasks", &PlanCounters::search_subtree_tasks},
+    {"search_steals", &PlanCounters::search_steals},
+    {"tune_hits", &PlanCounters::tune_hits},
+    {"tune_misses", &PlanCounters::tune_misses},
+    {"tune_searches", &PlanCounters::tune_searches},
+    {"tune_trials_run", &PlanCounters::tune_trials_run},
+    {"regions", &PlanCounters::regions},
+    {"seam_sensors", &PlanCounters::seam_sensors},
+    {"stitch_recolored", &PlanCounters::stitch_recolored},
+};
+
+/// Every field distinct and non-zero, so a swapped or dropped field
+/// cannot pass unnoticed.
+PlanCounters distinct_counters(std::uint64_t base, const char* kernel) {
+  PlanCounters c;
+  std::uint64_t v = base;
+  for (const auto& [name, member] : kCounts) c.*member = v++;
+  c.search_kernel = kernel;
+  return c;
+}
+
+void expect_counters(const PlanCounters& got, const PlanCounters& want,
+                     const char* where) {
+  for (const auto& [name, member] : kCounts) {
+    EXPECT_EQ(got.*member, want.*member) << where << ": " << name;
+  }
+  EXPECT_EQ(got.search_kernel, want.search_kernel) << where;
+}
+
+TEST(ReportSerialization, EveryPlanCounterRoundTripsThroughBothCodecs) {
+  const PlanCounters want = distinct_counters(101, "avx2");
+
+  BatchReport report;
+  static_cast<PlanCounters&>(report) = want;
+  expect_counters(parse_batch_report_json(batch_report_to_json(report)), want,
+                  "batch report JSON");
+
+  serve::SessionWireStats stats;
+  static_cast<PlanCounters&>(stats) = want;
+  stats.replans = 1;
+  stats.deltas = 2;
+  stats.graph_builds = 3;
+  stats.graph_patches = 4;
+  stats.warm_greedy = 5;
+  stats.regions_replanned = 6;
+  const serve::SessionWireStats parsed =
+      serve::session_stats_from_json(serve::session_stats_to_json(stats));
+  expect_counters(parsed, want, "CLOSE body");
+  EXPECT_EQ(parsed.replans, 1u);
+  EXPECT_EQ(parsed.deltas, 2u);
+  EXPECT_EQ(parsed.graph_builds, 3u);
+  EXPECT_EQ(parsed.graph_patches, 4u);
+  EXPECT_EQ(parsed.warm_greedy, 5u);
+  EXPECT_EQ(parsed.regions_replanned, 6u);
+}
+
+TEST(ReportSerialization, PlanCountersMergeSumsMaxesRegionsKeepsLastKernel) {
+  const PlanCounters a = distinct_counters(101, "avx2");
+  PlanCounters b = distinct_counters(1001, "scalar");
+  b.regions = 1;  // smaller than a's: the merge keeps the max, not b's
+  PlanCounters merged = a;
+  merged += b;
+  for (const auto& [name, member] : kCounts) {
+    const std::uint64_t want = member == &PlanCounters::regions
+                                   ? a.*member
+                                   : a.*member + b.*member;
+    EXPECT_EQ(merged.*member, want) << name;
+  }
+  EXPECT_EQ(merged.search_kernel, "scalar");
+  merged += PlanCounters{};  // an empty kernel never overwrites
+  EXPECT_EQ(merged.search_kernel, "scalar");
 }
 
 TEST(ReportSerialization, ScheduleCsvRoundTripWithChannelColumns) {

@@ -324,27 +324,31 @@ TEST(PlanServe, DuplicateDeltaSeqReplaysInsteadOfDoubleApplying) {
   server.stop();
 }
 
-TEST(PlanServe, AssignVerbServesCoordinatorStyleBatches) {
-  // The --listen worker mode: the same listener answers the distributed
-  // ASSIGN verb, so a coordinator-style client can drive this server as
-  // a remote worker over TCP.
+TEST(PlanServe, ConnectRunKeepsTheTuneCounters) {
+  // The CLOSE body carries every PlanCounters field, so a remote run of
+  // the auto backend reports the same tuner work as an in-process run.
+  BatchItem item;
+  item.query.scenario = "grid";
+  item.query.params.n = 8;
+  item.backends = {"auto"};
+  item.tune_trials = 3;
+
   PlanServer server{ServerConfig{}};
   server.start();
   ClientConfig cc;
   cc.port = server.port();
   PlanClient client(cc);
-  const std::vector<BatchItem> items = items_for_client(3);
-  const dist::WireMessage reply = client.request(
-      {"ASSIGN", "42\n" + batch_items_to_json(items)});
-  ASSERT_EQ(reply.verb, "RESULT");
-  ASSERT_EQ(reply.body.substr(0, 3), "42\n");
-  const BatchReport remote = parse_batch_report_json(reply.body.substr(3));
+  const BatchReport remote = client.run_items({item});
   server.stop();
-  EXPECT_EQ(server.stats().assigns_served, 1u);
 
   PlanService service;
-  EXPECT_EQ(normalize_volatile(batch_report_to_json(remote)),
-            normalize_volatile(batch_report_to_json(service.run(items))));
+  const BatchReport local = service.run({item});
+  EXPECT_GT(local.tune_searches, 0u);
+  EXPECT_GT(local.tune_trials_run, 0u);
+  EXPECT_EQ(remote.tune_hits, local.tune_hits);
+  EXPECT_EQ(remote.tune_misses, local.tune_misses);
+  EXPECT_EQ(remote.tune_searches, local.tune_searches);
+  EXPECT_EQ(remote.tune_trials_run, local.tune_trials_run);
 }
 
 TEST(PlanServe, StopIsGracefulAndIdempotent) {
