@@ -10,18 +10,17 @@ namespace latticesched {
 
 namespace {
 
-enum Merge { kSum, kMax, kLastNonEmpty };
+enum Merge { kSum, kMax };
 
 /// One counter: where it sits in the batch-report footer (`group`,
 /// `key`), its flat key (`name`, the member name), how two values merge,
-/// and the member (`count` for numbers, `text` for the kernel string).
+/// and the member.
 struct Field {
   const char* group;
   const char* key;
   const char* name;
   Merge merge;
   std::uint64_t PlanCounters::*count;
-  std::string PlanCounters::*text = nullptr;
 };
 
 using C = PlanCounters;
@@ -30,11 +29,6 @@ using C = PlanCounters;
 const Field kFields[] = {
     {"cache", "hits", "cache_hits", kSum, &C::cache_hits},
     {"cache", "misses", "cache_misses", kSum, &C::cache_misses},
-    {"search", "subtree_tasks", "search_subtree_tasks", kSum,
-     &C::search_subtree_tasks},
-    {"search", "steals", "search_steals", kSum, &C::search_steals},
-    {"search", "kernel", "search_kernel", kLastNonEmpty, nullptr,
-     &C::search_kernel},
     {"regions", "count", "regions", kMax, &C::regions},
     {"regions", "seam_sensors", "seam_sensors", kSum, &C::seam_sensors},
     {"regions", "stitch_recolored", "stitch_recolored", kSum,
@@ -47,36 +41,21 @@ const Field kFields[] = {
 
 void write_value(std::ostream& os, const Field& f, const PlanCounters& c,
                  const char* key) {
-  os << '"' << key << "\": ";
-  if (f.count != nullptr) {
-    os << c.*f.count;
-  } else {
-    os << '"' << json_escape(c.*f.text) << '"';
-  }
+  os << '"' << key << "\": " << c.*f.count;
 }
 
 void read_value(std::string_view obj, const Field& f, PlanCounters* c,
                 const char* key) {
-  if (f.count != nullptr) {
-    c->*f.count = json_uint_field(obj, key);
-  } else {
-    c->*f.text = json_field(obj, key);
-  }
+  c->*f.count = json_uint_field(obj, key);
 }
 
 }  // namespace
 
 PlanCounters& PlanCounters::operator+=(const PlanCounters& other) {
   for (const Field& f : kFields) {
-    switch (f.merge) {
-      case kSum: this->*f.count += other.*f.count; break;
-      case kMax:
-        this->*f.count = std::max(this->*f.count, other.*f.count);
-        break;
-      case kLastNonEmpty:
-        if (!(other.*f.text).empty()) this->*f.text = other.*f.text;
-        break;
-    }
+    this->*f.count = f.merge == kSum
+                         ? this->*f.count + other.*f.count
+                         : std::max(this->*f.count, other.*f.count);
   }
   return *this;
 }
@@ -86,10 +65,6 @@ PlanCounters counters_between(const CounterSnapshot& before,
   PlanCounters c;
   c.cache_hits = after.tiling.hits - before.tiling.hits;
   c.cache_misses = after.tiling.misses - before.tiling.misses;
-  c.search_subtree_tasks =
-      after.tiling.search_subtree_tasks - before.tiling.search_subtree_tasks;
-  c.search_steals = after.tiling.search_steals - before.tiling.search_steals;
-  c.search_kernel = after.tiling.search_kernel;
   c.tune_hits = after.tune.hits - before.tune.hits;
   c.tune_misses = after.tune.misses - before.tune.misses;
   c.tune_searches = after.tune.searches - before.tune.searches;

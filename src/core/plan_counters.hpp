@@ -1,10 +1,10 @@
 // The plan-search counters every reporting surface carries: tiling-cache
-// traffic, torus-search work stealing, auto-tuner searches and the region
-// stitch.  BatchReport, PlanSession::Stats (and so the serve CLOSE body)
-// and the coordinator's per-worker stats derive from PlanCounters and
-// move it only through the functions below: one merge, one snapshot
-// delta and one codec, all driven by the field table in
-// plan_counters.cpp.  A new counter is one member here plus one row there.
+// traffic, auto-tuner searches and the region stitch.  BatchReport,
+// PlanSession::Stats (and so the serve CLOSE body) and the coordinator's
+// per-worker stats derive from PlanCounters and move it only through the
+// functions below: one merge, one snapshot delta and one codec, all
+// driven by the field table in plan_counters.cpp.  A new counter is one
+// member here plus one row there.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +20,6 @@ namespace latticesched {
 struct PlanCounters {
   std::uint64_t cache_hits = 0;    ///< TilingCache hits
   std::uint64_t cache_misses = 0;  ///< TilingCache misses
-  /// Subtree tasks the parallel dense torus search executed, and how
-  /// many of them a worker stole from another worker's deque.
-  std::uint64_t search_subtree_tasks = 0;
-  std::uint64_t search_steals = 0;
-  /// Mask-kernel implementation the searches dispatched to ("scalar" /
-  /// "avx2"; empty until a search ran).
-  std::string search_kernel;
   std::uint64_t tune_hits = 0;        ///< auto-backend TuneCache hits
   std::uint64_t tune_misses = 0;      ///< auto-backend TuneCache misses
   std::uint64_t tune_searches = 0;    ///< tuning searches run on misses
@@ -37,8 +30,7 @@ struct PlanCounters {
   /// entering the stitch uncolored are not recolors).
   std::uint64_t stitch_recolored = 0;
 
-  /// The one merge: sums every count, keeps the max of `regions`, and
-  /// takes `search_kernel` from `other` unless it is empty.
+  /// The one merge: sums every count and keeps the max of `regions`.
   PlanCounters& operator+=(const PlanCounters& other);
 };
 
@@ -48,15 +40,14 @@ struct CounterSnapshot {
   tune::TuneCache::Stats tune;
 };
 
-/// Cache and tune traffic between two snapshots (`search_kernel` is the
-/// later one's).  The region counters stay 0: sessions count those.
+/// Cache and tune traffic between two snapshots.  The region counters
+/// stay 0: sessions count those.
 PlanCounters counters_between(const CounterSnapshot& before,
                               const CounterSnapshot& after);
 
 /// Batch-report footer: one line per counter group, each indented two
 /// spaces and ending ",\n":
 ///   "cache": {"hits": H, "misses": M},
-///   "search": {"subtree_tasks": T, "steals": S, "kernel": "K"},
 ///   "regions": {"count": R, "seam_sensors": E, "stitch_recolored": C},
 ///   "tuning": {"hits": H, "misses": M, "searches": S, "trials": T},
 void write_counter_groups(std::ostream& os, const PlanCounters& counters);

@@ -12,7 +12,7 @@ bool BatchItemReport::all_ok() const {
   if (!built) return false;
   const auto clean = [](const std::vector<PlanResult>& rs) {
     for (const PlanResult& r : rs) {
-      if (!r.ok || !r.collision_free) return false;
+      if (!r.ok || (r.verified && !r.collision_free)) return false;
     }
     return true;
   };

@@ -78,8 +78,9 @@ struct BatchItemReport {
   /// static items).
   std::vector<BatchStepReport> steps;
 
-  /// Built, and every backend produced a verified collision-free plan
-  /// (on every step, for dynamic items).
+  /// Built, and every backend produced a plan that, when verified, is
+  /// collision-free (on every step, for dynamic items).  Unverified
+  /// plans (verify off) pass on `ok` alone.
   bool all_ok() const;
 };
 

@@ -267,7 +267,8 @@ PlanResult Planner::plan(const PlanRequest& request) const {
     result.collision_free = result.report.collision_free;
     result.verified = true;
   } else {
-    result.collision_free = true;
+    // No checker ran: claim nothing.
+    result.collision_free = false;
     result.verified = false;
   }
 

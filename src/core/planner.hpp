@@ -173,9 +173,9 @@ struct PlanResult {
   SensorSlots slots;     ///< per-sensor slot table (ok == true)
   std::string detail;    ///< backend-specific description of the schedule
 
-  /// Collision verdict (request.verify; trivially true when skipped —
-  /// `verified` below records whether the checker actually ran, so
-  /// reports can render an unchecked schedule as such).
+  /// Collision verdict of the checker (request.verify).  False when the
+  /// check was skipped — `verified` below records whether the checker
+  /// actually ran, so reports can render an unchecked schedule as such.
   bool collision_free = false;
   bool verified = false;
   CollisionReport report;

@@ -129,19 +129,10 @@ std::optional<Tiling> TilingCache::lookup_or_run(
 
   // A found tiling is always cacheable (any found tiling is a valid
   // answer).  A FAILURE is only cacheable when no searched torus hit the
-  // node budget: a truncated failure depends on the engine and the
-  // parallel fan-out (the per-subtree budget can explore more than the
-  // serial search), so memoizing it could deny a tiling that a later,
-  // differently-shaped search would find.
+  // node budget: a truncated failure depends on the budget, so memoizing
+  // it could deny a tiling that a later search with a larger budget
+  // would find.
   const bool cacheable = tiling.has_value() || !stats.budget_exhausted;
-  {
-    // Fold the search's scheduler counters into the cache totals — the
-    // cache is where per-batch deltas are read from (PlanService).
-    std::lock_guard<std::mutex> lock(mu_);
-    search_subtree_tasks_ += stats.subtree_tasks;
-    search_steals_ += stats.steals;
-    search_kernel_ = stats.kernel;
-  }
   if (cacheable) {
     if (!persist_dir_.empty()) store_to_disk(key, hash, tiling);
     std::lock_guard<std::mutex> lock(mu_);
@@ -501,9 +492,6 @@ TilingCache::Stats TilingCache::stats() const {
   s.misses = misses_;
   s.disk_hits = disk_hits_;
   s.checksum_failures = checksum_failures_;
-  s.search_subtree_tasks = search_subtree_tasks_;
-  s.search_steals = search_steals_;
-  s.search_kernel = search_kernel_;
   for (const auto& [hash, bucket] : entries_) s.entries += bucket.size();
   return s;
 }
@@ -515,9 +503,6 @@ void TilingCache::clear() {
   misses_ = 0;
   disk_hits_ = 0;
   checksum_failures_ = 0;
-  search_subtree_tasks_ = 0;
-  search_steals_ = 0;
-  search_kernel_ = "";
 }
 
 }  // namespace latticesched

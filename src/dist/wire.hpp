@@ -51,7 +51,11 @@ namespace latticesched::dist {
 /// v8: the serve CLOSE body carries every PlanCounters field
 /// (core/plan_counters.hpp), tune counters included, and the server no
 /// longer answers ASSIGN — a v7 client would drop the tune counters.
-inline constexpr int kProtocolVersion = 8;
+/// v9: the "search" footer line of batch reports and the search_*
+/// fields of the CLOSE body are gone (the torus search is serial per
+/// torus and has one mask kernel) — a v8 client would reject a v9
+/// CLOSE body that lacks them.
+inline constexpr int kProtocolVersion = 9;
 
 /// Frames larger than this are a protocol error, not an allocation —
 /// guards the reader against garbage length prefixes.

@@ -629,15 +629,11 @@ int run(int argc, char** argv) {
         std::fprintf(
             out,
             "cache-stats: worker %zu (pid %lld): %llu hit(s), %llu "
-            "miss(es), %zu shard(s), %llu subtree task(s), %llu "
-            "steal(s)%s\n",
+            "miss(es), %zu shard(s)%s\n",
             w, static_cast<long long>(s.pid),
             static_cast<unsigned long long>(s.cache_hits),
             static_cast<unsigned long long>(s.cache_misses),
-            s.shards_completed,
-            static_cast<unsigned long long>(s.search_subtree_tasks),
-            static_cast<unsigned long long>(s.search_steals),
-            notes.c_str());
+            s.shards_completed, notes.c_str());
       }
       std::fprintf(out,
                    "cache-stats: total: %llu hit(s), %llu miss(es), %llu "
@@ -655,13 +651,6 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(s.hits),
                    static_cast<unsigned long long>(s.disk_hits),
                    static_cast<unsigned long long>(s.misses), s.entries);
-    }
-    if (!report.search_kernel.empty()) {
-      std::fprintf(
-          out, "search-stats: %llu subtree task(s), %llu steal(s), kernel=%s\n",
-          static_cast<unsigned long long>(report.search_subtree_tasks),
-          static_cast<unsigned long long>(report.search_steals),
-          report.search_kernel.c_str());
     }
     // Tune footer; silent when the batch never touched the auto backend.
     if (!client.has_value() && !coordinator.has_value()) {

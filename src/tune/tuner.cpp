@@ -25,8 +25,8 @@ double elapsed_ms(Clock::time_point since) {
 /// Deterministic work proxy of a measured trial — the effort axis of the
 /// cost order.  Wall time would rank identically-shaped runs differently
 /// across machines and loads, so each delegate gets a machine-independent
-/// proxy instead: torus backends report serial search nodes (trials force
-/// use_parallel = false, so the count is exact), annealing reports its
+/// proxy instead: torus backends report search nodes (each torus is
+/// searched serially, so the count is exact), annealing reports its
 /// iteration budget, and the graph/TDMA backends — whose cost is linear
 /// in the input — report the deployment size.
 double work_proxy(const TunedConfig& config, const PlanRequest& trial,

@@ -66,85 +66,6 @@ TEST(Parallel, NestedRegionsRunInline) {
   EXPECT_EQ(inner_total.load(), 8 * 16);
 }
 
-TEST(TaskTree, SpawnTreeRunsEveryTaskExactlyOnce) {
-  ThreadGuard guard;
-  set_parallel_threads(8);
-  for (std::size_t parallelism : {1, 4, 8}) {
-    std::atomic<int> leaves{0};
-    std::function<void(TaskContext&, int)> node = [&](TaskContext& ctx,
-                                                      int depth) {
-      if (depth == 0) {
-        ++leaves;
-        return;
-      }
-      for (int i = 0; i < 2; ++i) {
-        ctx.spawn([&node, depth](TaskContext& sub) { node(sub, depth - 1); });
-      }
-    };
-    const TaskTreeStats stats = run_task_tree(
-        parallelism, [&](TaskContext& ctx) { node(ctx, 5); });
-    EXPECT_EQ(leaves.load(), 32) << parallelism << " workers";
-    // Full binary tree of depth 5, root included.
-    EXPECT_EQ(stats.tasks, 63u) << parallelism << " workers";
-    if (parallelism == 1) EXPECT_EQ(stats.steals, 0u);
-  }
-}
-
-TEST(TaskTree, WorkerRanksStayInRange) {
-  ThreadGuard guard;
-  set_parallel_threads(4);
-  std::atomic<int> bad{0};
-  run_task_tree(4, [&](TaskContext& ctx) {
-    for (int i = 0; i < 64; ++i) {
-      ctx.spawn([&bad](TaskContext& sub) {
-        if (sub.worker() >= 4) ++bad;
-      });
-    }
-  });
-  EXPECT_EQ(bad.load(), 0);
-}
-
-TEST(TaskTree, PropagatesExceptionsAndStopsSpawning) {
-  ThreadGuard guard;
-  set_parallel_threads(4);
-  EXPECT_THROW(run_task_tree(4,
-                             [](TaskContext& ctx) {
-                               for (int i = 0; i < 8; ++i) {
-                                 ctx.spawn([i](TaskContext&) {
-                                   if (i == 3) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 });
-                               }
-                             }),
-               std::runtime_error);
-  // The scheduler is per-tree; a fresh tree is unaffected.
-  std::atomic<int> ran{0};
-  run_task_tree(4, [&](TaskContext& ctx) {
-    ctx.spawn([&ran](TaskContext&) { ++ran; });
-  });
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskTree, RunsInlineInsideParallelRegions) {
-  ThreadGuard guard;
-  set_parallel_threads(4);
-  std::atomic<std::uint64_t> total_steals{0};
-  parallel_for(0, 4, [&](std::size_t) {
-    // Nested trees must not re-enter the thread pool (deadlock risk);
-    // they degrade to the single-worker loop, which never steals.
-    std::atomic<int> ran{0};
-    const TaskTreeStats stats = run_task_tree(4, [&](TaskContext& ctx) {
-      for (int i = 0; i < 4; ++i) {
-        ctx.spawn([&ran](TaskContext&) { ++ran; });
-      }
-    });
-    EXPECT_EQ(ran.load(), 4);
-    total_steals += stats.steals;
-  });
-  EXPECT_EQ(total_steals.load(), 0u);
-}
-
 TEST(ParallelDeterminism, PeriodSweepMatchesSerial) {
   ThreadGuard guard;
   // Mixed S/Z with every prototile required: the sweep rejects several
@@ -180,12 +101,16 @@ TEST(ParallelDeterminism, PeriodSweepMatchesSerialWhenUnsatisfiable) {
   cfg.stats = &serial_stats;
   EXPECT_FALSE(search_periodic_tiling({f}, cfg).has_value());
 
-  set_parallel_threads(4);
-  TorusSearchStats parallel_stats;
-  cfg.stats = &parallel_stats;
-  EXPECT_FALSE(search_periodic_tiling({f}, cfg).has_value());
-  // Failure reports the last torus's counters in both modes.
-  EXPECT_EQ(serial_stats.nodes, parallel_stats.nodes);
+  for (std::size_t threads : {2, 4}) {
+    set_parallel_threads(threads);
+    TorusSearchStats parallel_stats;
+    cfg.stats = &parallel_stats;
+    EXPECT_FALSE(search_periodic_tiling({f}, cfg).has_value())
+        << threads << " threads";
+    // Failure reports the last torus's counters in both modes.
+    EXPECT_EQ(serial_stats.nodes, parallel_stats.nodes)
+        << threads << " threads";
+  }
 }
 
 TEST(ParallelDeterminism, AllTilingsFanOutMatchesSerial) {
@@ -201,7 +126,7 @@ TEST(ParallelDeterminism, AllTilingsFanOutMatchesSerial) {
   const auto serial = all_tilings_on_torus(protos, period, 100000, cfg);
   ASSERT_FALSE(serial.empty());
 
-  for (std::size_t threads : {2, 8}) {
+  for (std::size_t threads : {2, 4, 8}) {
     set_parallel_threads(threads);
     TorusSearchStats parallel_stats;
     cfg.stats = &parallel_stats;
@@ -211,7 +136,8 @@ TEST(ParallelDeterminism, AllTilingsFanOutMatchesSerial) {
       EXPECT_TRUE(same_tiling(serial[i], parallel[i]))
           << "tiling " << i << " at " << threads << " threads";
     }
-    // Fully explored tree: the engines expand the same placements.
+    // Fully explored tree: every thread count expands the same
+    // placements.
     EXPECT_EQ(serial_stats.nodes, parallel_stats.nodes)
         << threads << " threads";
   }
@@ -223,15 +149,27 @@ TEST(ParallelDeterminism, AllTilingsFanOutRespectsResultLimit) {
                                          shapes::z_tetromino()};
   const Sublattice period = Sublattice::diagonal({4, 4});
 
+  // The limit cuts the DFS mid-tree: the cut must be the serial one —
+  // same tilings, same node charge — not merely "some 5 tilings".
   set_parallel_threads(1);
-  const auto serial = all_tilings_on_torus(protos, period, 5);
+  TorusSearchStats serial_stats;
+  TorusSearchConfig cfg;
+  cfg.stats = &serial_stats;
+  const auto serial = all_tilings_on_torus(protos, period, 5, cfg);
   ASSERT_EQ(serial.size(), 5u);
 
-  set_parallel_threads(4);
-  const auto parallel = all_tilings_on_torus(protos, period, 5);
-  ASSERT_EQ(parallel.size(), 5u);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(same_tiling(serial[i], parallel[i])) << "tiling " << i;
+  for (std::size_t threads : {2, 4}) {
+    set_parallel_threads(threads);
+    TorusSearchStats parallel_stats;
+    cfg.stats = &parallel_stats;
+    const auto parallel = all_tilings_on_torus(protos, period, 5, cfg);
+    ASSERT_EQ(parallel.size(), 5u) << threads << " threads";
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_tiling(serial[i], parallel[i]))
+          << "tiling " << i << " at " << threads << " threads";
+    }
+    EXPECT_EQ(serial_stats.nodes, parallel_stats.nodes)
+        << threads << " threads";
   }
 }
 

@@ -1,10 +1,8 @@
 // Batch planning service tests: full-registry batches, the TilingCache
 // hit/miss accounting (the second identical batch must be served from
-// cache and run >= 5x faster), multichannel and mobile flowing through
-// PlanResult, and determinism across thread counts.
+// cache), multichannel and mobile flowing through PlanResult, and
+// determinism across thread counts.
 #include <gtest/gtest.h>
-
-#include <chrono>
 
 #include "core/mobile.hpp"
 #include "core/plan_service.hpp"
@@ -12,15 +10,6 @@
 
 namespace latticesched {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double run_seconds(PlanService& service, const std::vector<BatchItem>& items) {
-  const Clock::time_point t0 = Clock::now();
-  const BatchReport report = service.run(items);
-  EXPECT_EQ(report.items.size(), items.size());
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 TEST(PlanService, FullRegistryBatchPlansEveryScenario) {
   PlanService service;
@@ -106,13 +95,12 @@ TEST(PlanService, HexScenarioDrivesMobileWithHexGeometry) {
 }
 
 TEST(PlanService, SecondIdenticalBatchIsServedFromCache) {
-  // The acceptance bar: a second identical batch over the full scenario
-  // registry is >= 5x faster because every torus search hits the
-  // TilingCache.  The batch is tiling-only with verification off so the
-  // measured work is exactly what the cache can and cannot save (the
-  // collision checker is uncached and identical in both runs; the
-  // coloring backends never search).  A radius sweep joins the registry
-  // batch so the cold cost is dominated by genuine searches.
+  // A second identical batch over the full scenario registry serves
+  // every torus search from the TilingCache: no new misses, and every
+  // lookup the cold batch made is a hit.  (The wall-clock bar — warm
+  // >= 5x faster than cold — is gated on bench_planner's
+  // batch_registry_warm record, not here.)  A radius sweep joins the
+  // registry batch so the cold batch runs genuine searches.
   set_parallel_threads(1);  // deterministic counters (no racing misses)
   PlanService service;
   ScenarioParams params;
@@ -128,22 +116,26 @@ TEST(PlanService, SecondIdenticalBatchIsServedFromCache) {
   }
   for (BatchItem& item : items) item.verify = false;
 
-  const double cold = run_seconds(service, items);
+  const BatchReport cold = service.run(items);
   const TilingCache::Stats after_cold = service.tiling_cache().stats();
   EXPECT_GT(after_cold.misses, 0u);
   EXPECT_GT(after_cold.entries, 0u);
+  const std::uint64_t lookups = after_cold.hits + after_cold.misses;
 
-  // Warm runs: every search must hit.  Take the best of two to shield
-  // the wall-clock ratio from scheduler noise.
-  double warm = run_seconds(service, items);
-  warm = std::min(warm, run_seconds(service, items));
+  for (int run = 0; run < 2; ++run) {
+    const BatchReport warm = service.run(items);
+    EXPECT_EQ(warm.cache_misses, 0u)
+        << "a warm batch must not re-run any torus search";
+    EXPECT_EQ(warm.cache_hits, lookups);
+    ASSERT_EQ(warm.items.size(), cold.items.size());
+    for (std::size_t i = 0; i < warm.items.size(); ++i) {
+      EXPECT_EQ(warm.items[i].results.size(), cold.items[i].results.size())
+          << warm.items[i].label;
+    }
+  }
   const TilingCache::Stats after_warm = service.tiling_cache().stats();
-  EXPECT_EQ(after_warm.misses, after_cold.misses)
-      << "a warm batch must not re-run any torus search";
-  EXPECT_GT(after_warm.hits, after_cold.hits);
-
-  EXPECT_GE(cold / warm, 5.0)
-      << "cold " << cold * 1e3 << "ms vs warm " << warm * 1e3 << "ms";
+  EXPECT_EQ(after_warm.misses, after_cold.misses);
+  EXPECT_EQ(after_warm.entries, after_cold.entries);
   set_parallel_threads(0);
 }
 

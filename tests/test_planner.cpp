@@ -45,14 +45,14 @@ TEST(Planner, TilingBackendIsOptimalOnGrid) {
   EXPECT_EQ(r.slots.period, 9u);      // |N| = 9 (Theorem 1)
   EXPECT_EQ(r.lower_bound, 9u);
 
-  // Skipping verification must be visible: collision_free stays
-  // (trivially) true but verified records that no checker ran.
+  // Skipping verification must be visible: with no checker run the
+  // plan claims no verdict.
   PlanRequest unchecked = request;
   unchecked.verify = false;
   const PlanResult u =
       PlannerRegistry::global().find("tiling")->plan(unchecked);
   ASSERT_TRUE(u.ok) << u.error;
-  EXPECT_TRUE(u.collision_free);
+  EXPECT_FALSE(u.collision_free);
   EXPECT_FALSE(u.verified);
   EXPECT_DOUBLE_EQ(r.optimality_gap, 1.0);
   EXPECT_DOUBLE_EQ(r.duty_cycle, 1.0 / 9.0);

@@ -115,13 +115,38 @@ TEST(ReportSerialization, BatchReportEmittersCoverEveryItem) {
   }
 }
 
-// Every numeric PlanCounters member (the kernel string is checked
-// beside them).
+// A plan whose collision check was skipped claims nothing: every row
+// codec carries collision_free=false beside verified=false, and the
+// batch still counts as ok (the skipped check is not a failure).
+TEST(ReportSerialization, UnverifiedRowsReportNoCollisionVerdict) {
+  PlanService service;
+  ScenarioParams params;
+  params.n = 6;
+  BatchItem item;
+  item.query = ScenarioQuery{"grid", params};
+  item.backends = {"tiling", "greedy"};
+  item.verify = false;
+  const BatchReport report = service.run({item});
+  EXPECT_TRUE(report.all_ok());
+
+  const auto csv_rows = parse_plan_results_csv(batch_report_to_csv(report));
+  const auto json_rows =
+      parse_plan_results_json(batch_report_to_json(report));
+  ASSERT_EQ(csv_rows.size(), 2u);
+  ASSERT_EQ(json_rows.size(), 2u);
+  for (const auto* rows : {&csv_rows, &json_rows}) {
+    for (const PlanResultRow& row : *rows) {
+      EXPECT_TRUE(row.ok) << row.backend;
+      EXPECT_FALSE(row.verified) << row.backend;
+      EXPECT_FALSE(row.collision_free) << row.backend;
+    }
+  }
+}
+
+// Every PlanCounters member.
 const std::pair<const char*, std::uint64_t PlanCounters::*> kCounts[] = {
     {"cache_hits", &PlanCounters::cache_hits},
     {"cache_misses", &PlanCounters::cache_misses},
-    {"search_subtree_tasks", &PlanCounters::search_subtree_tasks},
-    {"search_steals", &PlanCounters::search_steals},
     {"tune_hits", &PlanCounters::tune_hits},
     {"tune_misses", &PlanCounters::tune_misses},
     {"tune_searches", &PlanCounters::tune_searches},
@@ -133,11 +158,10 @@ const std::pair<const char*, std::uint64_t PlanCounters::*> kCounts[] = {
 
 /// Every field distinct and non-zero, so a swapped or dropped field
 /// cannot pass unnoticed.
-PlanCounters distinct_counters(std::uint64_t base, const char* kernel) {
+PlanCounters distinct_counters(std::uint64_t base) {
   PlanCounters c;
   std::uint64_t v = base;
   for (const auto& [name, member] : kCounts) c.*member = v++;
-  c.search_kernel = kernel;
   return c;
 }
 
@@ -146,11 +170,10 @@ void expect_counters(const PlanCounters& got, const PlanCounters& want,
   for (const auto& [name, member] : kCounts) {
     EXPECT_EQ(got.*member, want.*member) << where << ": " << name;
   }
-  EXPECT_EQ(got.search_kernel, want.search_kernel) << where;
 }
 
 TEST(ReportSerialization, EveryPlanCounterRoundTripsThroughBothCodecs) {
-  const PlanCounters want = distinct_counters(101, "avx2");
+  const PlanCounters want = distinct_counters(101);
 
   BatchReport report;
   static_cast<PlanCounters&>(report) = want;
@@ -176,9 +199,9 @@ TEST(ReportSerialization, EveryPlanCounterRoundTripsThroughBothCodecs) {
   EXPECT_EQ(parsed.regions_replanned, 6u);
 }
 
-TEST(ReportSerialization, PlanCountersMergeSumsMaxesRegionsKeepsLastKernel) {
-  const PlanCounters a = distinct_counters(101, "avx2");
-  PlanCounters b = distinct_counters(1001, "scalar");
+TEST(ReportSerialization, PlanCountersMergeSumsAndMaxesRegions) {
+  const PlanCounters a = distinct_counters(101);
+  PlanCounters b = distinct_counters(1001);
   b.regions = 1;  // smaller than a's: the merge keeps the max, not b's
   PlanCounters merged = a;
   merged += b;
@@ -188,9 +211,6 @@ TEST(ReportSerialization, PlanCountersMergeSumsMaxesRegionsKeepsLastKernel) {
                                    : a.*member + b.*member;
     EXPECT_EQ(merged.*member, want) << name;
   }
-  EXPECT_EQ(merged.search_kernel, "scalar");
-  merged += PlanCounters{};  // an empty kernel never overwrites
-  EXPECT_EQ(merged.search_kernel, "scalar");
 }
 
 TEST(ReportSerialization, ScheduleCsvRoundTripWithChannelColumns) {
@@ -281,11 +301,8 @@ TEST(ReportSerialization, GoldenDriverJson) {
   item.backends = {"tiling", "tdma"};
   BatchReport report = service.run({item});
   set_parallel_threads(0);
-  // Zero the volatile fields so the serialization is reproducible.  The
-  // dispatched mask kernel is host-CPU-dependent (avx2 vs scalar), so it
-  // is blanked like the wall times; the line's SHAPE stays pinned.
+  // Zero the volatile fields so the serialization is reproducible.
   report.wall_seconds = 0.0;
-  report.search_kernel.clear();
   for (BatchItemReport& it : report.items) {
     for (PlanResult& r : it.results) r.wall_seconds = 0.0;
   }

@@ -113,7 +113,7 @@ TEST(TorusSearch, EnumeratesManyMixedTilings) {
 
 TEST(TorusSearch, RespectsNodeBudget) {
   // A mixed S+Z tiling of the 4x4 torus needs four placements; a
-  // one-node budget (per torus/subtree) can never complete one.
+  // one-node budget (per torus) can never complete one.
   TorusSearchConfig cfg;
   cfg.node_limit = 1;
   cfg.require_all_prototiles = true;

@@ -82,6 +82,16 @@ TEST(KnobSpaceTest, TunedConfigSerializeParseRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->get("sa_initial_temperature", 0.0), 3.75);
   EXPECT_DOUBLE_EQ(parsed->get("sa_max_iters", 0.0), 50'000.0);
   EXPECT_EQ(*parsed, config);
+
+  // An entry carrying a knob this version does not declare (older tune
+  // caches stored a search spawn depth) still parses and applies the
+  // knobs it does declare.
+  const auto legacy =
+      TunedConfig::parse("backend=tiling;max_spawn_depth=2;node_limit=40000");
+  ASSERT_TRUE(legacy.has_value());
+  PlanRequest request;
+  tune::apply_config(*legacy, &request);
+  EXPECT_EQ(request.search.node_limit, 40'000u);
 }
 
 TEST(KnobSpaceTest, MalformedConfigTextParsesToNullopt) {
