@@ -1,12 +1,13 @@
-// Work-stealing search invariance: the deterministic-merge contract of
-// the task-tree dense engine.  Results AND node counts must be
-// byte-identical to the serial engine for EVERY thread count, EVERY
-// spawn depth and EVERY mask kernel — stealing order, task interleaving
-// and SIMD width are invisible.  (test_parallel.cpp pins threads=1 vs
-// N on the default config; this file sweeps the new axes.)
+// Search invariance under parallelism: results AND node counts of the
+// dense engine must be identical to the serial run for EVERY thread
+// count, with the parallel paths switched on or off.  The suite keeps
+// the name of the work-stealing subtree engine it was written for; the
+// engine now searches each torus serially, and the only parallel path
+// left is the speculative period sweep across tori.  (test_parallel.cpp
+// pins threads=1 vs N on the default config; this file sweeps more
+// thread counts and the use_parallel switch.)
 #include <gtest/gtest.h>
 
-#include "tiling/mask_kernels.hpp"
 #include "tiling/shapes.hpp"
 #include "tiling/torus_search.hpp"
 #include "util/parallel.hpp"
@@ -17,9 +18,6 @@ namespace {
 struct ThreadGuard {
   ~ThreadGuard() { set_parallel_threads(0); }
 };
-struct KernelGuard {
-  ~KernelGuard() { mask_kernels::set_kernel(mask_kernels::Kernel::kAuto); }
-};
 
 bool same_tiling(const Tiling& a, const Tiling& b) {
   return a.period() == b.period() && a.placements() == b.placements() &&
@@ -27,8 +25,8 @@ bool same_tiling(const Tiling& a, const Tiling& b) {
 }
 
 // The F-pentomino is not exact (Beauquier–Nivat), so the period sweep
-// explores every subtree to exhaustion — the worst case for divergent
-// node accounting.  Every (threads, spawn depth) combination must
+// explores every torus to exhaustion — the worst case for divergent
+// node accounting.  Every (threads, use_parallel) combination must
 // report the same failure with the same node total as serial.
 TEST(StealingDeterminism, UnsatSweepNodesInvariantAcrossThreadsAndDepths) {
   ThreadGuard guard;
@@ -40,29 +38,24 @@ TEST(StealingDeterminism, UnsatSweepNodesInvariantAcrossThreadsAndDepths) {
   TorusSearchStats serial_stats;
   cfg.stats = &serial_stats;
   EXPECT_FALSE(search_periodic_tiling({f}, cfg).has_value());
-  EXPECT_EQ(serial_stats.subtree_tasks, 0u);
-  EXPECT_EQ(serial_stats.steals, 0u);
+  EXPECT_GT(serial_stats.nodes, 0u);
 
   for (std::size_t threads : {2, 4, 8}) {
-    for (std::uint32_t depth : {0u, 1u, 2u, 3u}) {
+    for (bool use_parallel : {true, false}) {
       set_parallel_threads(threads);
       TorusSearchStats stats;
       cfg.stats = &stats;
-      cfg.max_spawn_depth = depth;
+      cfg.use_parallel = use_parallel;
       EXPECT_FALSE(search_periodic_tiling({f}, cfg).has_value())
-          << threads << " threads, depth " << depth;
+          << threads << " threads, use_parallel " << use_parallel;
       EXPECT_EQ(stats.nodes, serial_stats.nodes)
-          << threads << " threads, depth " << depth;
-      // The sweep parallelizes ACROSS tori, so the per-torus searches
-      // run serially inside the pool (nested parallelism is inline).
-      EXPECT_EQ(stats.subtree_tasks, 0u)
-          << threads << " threads, depth " << depth;
+          << threads << " threads, use_parallel " << use_parallel;
     }
   }
 }
 
-// Full enumeration: the merged result list must equal the serial DFS
-// order placement-by-placement, whatever the spawn depth.
+// Full enumeration: the result list must equal the serial DFS order
+// placement-by-placement, whatever the thread count.
 TEST(StealingDeterminism, EnumerationIdenticalAcrossSpawnDepths) {
   ThreadGuard guard;
   const std::vector<Prototile> protos = {shapes::s_tetromino(),
@@ -76,26 +69,28 @@ TEST(StealingDeterminism, EnumerationIdenticalAcrossSpawnDepths) {
   const auto serial = all_tilings_on_torus(protos, period, 100000, cfg);
   ASSERT_FALSE(serial.empty());
 
-  set_parallel_threads(4);
-  for (std::uint32_t depth : {0u, 1u, 2u, 3u, 4u}) {
-    TorusSearchStats stats;
-    cfg.stats = &stats;
-    cfg.max_spawn_depth = depth;
-    const auto parallel = all_tilings_on_torus(protos, period, 100000, cfg);
-    ASSERT_EQ(serial.size(), parallel.size()) << "depth " << depth;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(same_tiling(serial[i], parallel[i]))
-          << "tiling " << i << " at depth " << depth;
+  for (std::size_t threads : {2, 4, 8}) {
+    for (bool use_parallel : {true, false}) {
+      set_parallel_threads(threads);
+      TorusSearchStats stats;
+      cfg.stats = &stats;
+      cfg.use_parallel = use_parallel;
+      const auto parallel = all_tilings_on_torus(protos, period, 100000, cfg);
+      ASSERT_EQ(serial.size(), parallel.size())
+          << threads << " threads, use_parallel " << use_parallel;
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(same_tiling(serial[i], parallel[i]))
+            << "tiling " << i << ", " << threads << " threads, use_parallel "
+            << use_parallel;
+      }
+      EXPECT_EQ(stats.nodes, serial_stats.nodes)
+          << threads << " threads, use_parallel " << use_parallel;
     }
-    EXPECT_EQ(stats.nodes, serial_stats.nodes) << "depth " << depth;
-    // A direct torus search does run on the task engine.
-    EXPECT_GE(stats.subtree_tasks, 1u) << "depth " << depth;
   }
 }
 
-// A result limit cuts the DFS mid-tree; the cancellation rank must
-// reproduce the serial cut exactly — same tilings, same node charge —
-// not merely "some 5 tilings".
+// A result limit cuts the DFS mid-tree; the cut must be the serial one
+// — same tilings, same node charge — not merely "some 5 tilings".
 TEST(StealingDeterminism, ResultLimitCutMatchesSerialExactly) {
   ThreadGuard guard;
   const std::vector<Prototile> protos = {shapes::s_tetromino(),
@@ -109,61 +104,17 @@ TEST(StealingDeterminism, ResultLimitCutMatchesSerialExactly) {
   const auto serial = all_tilings_on_torus(protos, period, 5, cfg);
   ASSERT_EQ(serial.size(), 5u);
 
-  for (std::size_t threads : {2, 8}) {
-    for (std::uint32_t depth : {0u, 2u, 3u}) {
-      set_parallel_threads(threads);
-      TorusSearchStats stats;
-      cfg.stats = &stats;
-      cfg.max_spawn_depth = depth;
-      const auto parallel = all_tilings_on_torus(protos, period, 5, cfg);
-      ASSERT_EQ(parallel.size(), 5u) << threads << " threads, depth "
-                                     << depth;
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_TRUE(same_tiling(serial[i], parallel[i]))
-            << "tiling " << i << ", " << threads << " threads, depth "
-            << depth;
-      }
-      EXPECT_EQ(stats.nodes, serial_stats.nodes)
-          << threads << " threads, depth " << depth;
-    }
-  }
-}
-
-// Kernel choice (scalar vs AVX2) must be invisible to the search: same
-// tilings, same nodes, and the dispatched kernel is surfaced in the
-// stats.  The AVX2 leg is skipped on hosts/builds without it.
-TEST(StealingDeterminism, KernelsProduceIdenticalSearches) {
-  ThreadGuard thread_guard;
-  KernelGuard kernel_guard;
-  const std::vector<Prototile> protos = {shapes::s_tetromino(),
-                                         shapes::z_tetromino()};
-  const Sublattice period = Sublattice::diagonal({4, 4});
-
-  ASSERT_TRUE(mask_kernels::set_kernel(mask_kernels::Kernel::kScalar));
-  set_parallel_threads(1);
-  TorusSearchStats scalar_stats;
-  TorusSearchConfig cfg;
-  cfg.stats = &scalar_stats;
-  const auto scalar_serial = all_tilings_on_torus(protos, period, 100000, cfg);
-  ASSERT_FALSE(scalar_serial.empty());
-  EXPECT_STREQ(scalar_stats.kernel, "scalar");
-
-  if (mask_kernels::avx2_ops() == nullptr) {
-    GTEST_SKIP() << "AVX2 kernels unavailable on this build/host";
-  }
-  ASSERT_TRUE(mask_kernels::set_kernel(mask_kernels::Kernel::kAvx2));
-  for (std::size_t threads : {1, 4}) {
+  for (std::size_t threads : {2, 4, 8}) {
     set_parallel_threads(threads);
     TorusSearchStats stats;
     cfg.stats = &stats;
-    const auto avx2 = all_tilings_on_torus(protos, period, 100000, cfg);
-    ASSERT_EQ(scalar_serial.size(), avx2.size()) << threads << " threads";
-    for (std::size_t i = 0; i < scalar_serial.size(); ++i) {
-      EXPECT_TRUE(same_tiling(scalar_serial[i], avx2[i]))
+    const auto parallel = all_tilings_on_torus(protos, period, 5, cfg);
+    ASSERT_EQ(parallel.size(), 5u) << threads << " threads";
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_tiling(serial[i], parallel[i]))
           << "tiling " << i << " at " << threads << " threads";
     }
-    EXPECT_EQ(stats.nodes, scalar_stats.nodes) << threads << " threads";
-    EXPECT_STREQ(stats.kernel, "avx2") << threads << " threads";
+    EXPECT_EQ(stats.nodes, serial_stats.nodes) << threads << " threads";
   }
 }
 
