@@ -1,22 +1,23 @@
 // Million-sensor scale benchmarks — the BENCH_scale.json trajectory.
 //
-// The report section measures what spatial region sharding
-// (core/region_shard.hpp) buys at deployment sizes where the
-// materialized all-pairs conflict graph stops being an option:
+// The report section measures the streaming region-greedy planner
+// (core/region_shard.hpp) at deployment sizes where the materialized
+// all-pairs conflict graph stops being an option.  A cold plan is one
+// serial first-fit pass over conflict rows probed from the deployment
+// (graph/interference.hpp's ConflictProber); the region count only
+// routes warm replans, so a cold plan costs the same at every count.
 //
-//  1. region x thread sweep on a mid-size grid: the region-greedy
-//     backend (streaming per-region conflict blocks + seam stitch)
-//     against the unsharded greedy backend (full conflict graph), at
-//     1 thread and at the pool default.  Acceptance target: >= 2x at
-//     >= 4 regions on multicore.  On a 1-vCPU container the region
-//     path has no parallelism to exploit and the sweep reads ~1x —
-//     expected, and why the records carry a `threads` column.
-//  2. stitch-cost sweep: seam sensors and stitch recolors as a function
-//     of region count at fixed fleet size (finer partitions = more
-//     seam, cheaper blocks).
-//  3. the headline: a 1,000,000-sensor grid planned end-to-end by the
-//     region path, with the peak-RSS column recording the memory
+//  1. region x thread sweep on a mid-size grid: the streaming planner
+//     against the unsharded greedy backend (full conflict graph build +
+//     first-fit), at 1 thread and at the pool default.  The records keep
+//     their `region_greedy_r*_t*` names and a `threads` column; the
+//     full-graph build is the only side that uses the pool.
+//  2. the headline: a 1,000,000-sensor grid planned end-to-end by the
+//     streaming planner, with the peak-RSS column recording the memory
 //     ceiling the run actually hit.
+//
+// The seam_sensors / stitch_recolored columns stay in every record so
+// readers of older files find them; cold plans stitch nothing and read 0.
 //
 // Records land in BENCH_scale.json (path override:
 // LATTICESCHED_BENCH_SCALE_JSON) and upload as a CI artifact.
@@ -119,7 +120,7 @@ double region_ms(const Deployment& d, std::size_t regions, int reps,
 }
 
 /// Min wall over `reps` unsharded plans (full conflict graph + greedy
-/// first-fit) — the baseline the sharded sweep is judged against.
+/// first-fit) — the baseline the streaming sweep is judged against.
 double unsharded_ms(const Deployment& d, int reps) {
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
@@ -133,7 +134,8 @@ double unsharded_ms(const Deployment& d, int reps) {
 }
 
 void report() {
-  bench::section("region sharding vs unsharded greedy (region x threads)");
+  bench::section(
+      "streaming region-greedy vs full-graph greedy (region x threads)");
 
   const std::size_t pool_threads = parallel_threads();
   const std::int64_t kSweepSensors = 20000;
@@ -172,32 +174,14 @@ void report() {
       rec.knob = "regions";
       rec.value = static_cast<double>(regions);
       records().push_back(rec);
-      std::printf(
-          "threads=%zu regions=%zu: %.2fms (%.2fx vs unsharded), %llu "
-          "seam sensor(s), %llu recolor(s)\n",
-          threads, regions, ms, rec.speedup,
-          static_cast<unsigned long long>(stats.seam_sensors),
-          static_cast<unsigned long long>(stats.stitch_recolored));
+      std::printf("threads=%zu regions=%zu: %.2fms (%.2fx vs unsharded)\n",
+                  threads, regions, ms, rec.speedup);
     }
     if (pool_threads == 1) break;  // both sweep points are the same
   }
   set_parallel_threads(pool_threads);
 
-  bench::section("stitch cost vs region count (fixed fleet)");
-  for (const std::size_t regions : {4, 16, 64}) {
-    RegionShardStats stats;
-    const double ms = region_ms(sweep, regions, 1, &stats);
-    std::printf(
-        "regions=%zu: %.2fms, seam %llu / %zu sensors (%.1f%%), %llu "
-        "stitch recolor(s)\n",
-        regions, ms, static_cast<unsigned long long>(stats.seam_sensors),
-        sweep.size(),
-        100.0 * static_cast<double>(stats.seam_sensors) /
-            static_cast<double>(sweep.size()),
-        static_cast<unsigned long long>(stats.stitch_recolored));
-  }
-
-  bench::section("million-sensor grid (region path, bounded memory)");
+  bench::section("million-sensor grid (streaming greedy, bounded memory)");
   {
     const Deployment million = large_grid(1000000);
     RegionShardStats stats;
@@ -217,11 +201,9 @@ void report() {
     rec.stitch_recolored = stats.stitch_recolored;
     rec.peak_rss_mb = bench::peak_rss_mb();
     records().push_back(rec);
-    std::printf(
-        "1,000,000 sensors, 64 regions: %.0fms, period %u, %llu seam "
-        "sensor(s), peak RSS %.1f MiB\n",
-        ms, period, static_cast<unsigned long long>(stats.seam_sensors),
-        rec.peak_rss_mb);
+    std::printf("1,000,000 sensors, 64 regions: %.0fms, period %u, peak RSS "
+                "%.1f MiB\n",
+                ms, period, rec.peak_rss_mb);
   }
 
   write_bench_json();
@@ -236,16 +218,19 @@ void BM_RegionPlan20k(benchmark::State& state) {
 }
 BENCHMARK(BM_RegionPlan20k)->Arg(1)->Arg(4)->Arg(16);
 
-void BM_ConflictBlock(benchmark::State& state) {
+void BM_ConflictProber(benchmark::State& state) {
   static const Deployment* d = new Deployment(large_grid(20000));
-  static const RegionGrid* grid = new RegionGrid(partition_regions(*d, 16, -1));
+  const ConflictProber prober(*d);
+  std::vector<std::uint32_t> row;
   for (auto _ : state) {
-    for (const auto& members : grid->members) {
-      benchmark::DoNotOptimize(build_conflict_block(*d, members));
+    for (std::uint32_t u = 0; u < d->size(); ++u) {
+      prober.row(u, row);
+      benchmark::DoNotOptimize(row.data());
     }
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_ConflictBlock);
+BENCHMARK(BM_ConflictProber);
 
 }  // namespace
 }  // namespace latticesched

@@ -1,5 +1,5 @@
 // The plan-search counters every reporting surface carries: tiling-cache
-// traffic, auto-tuner searches and the region stitch.  BatchReport,
+// traffic, auto-tuner searches and region-greedy warm repairs.  BatchReport,
 // PlanSession::Stats (and so the serve CLOSE body) and the coordinator's
 // per-worker stats derive from PlanCounters and move it only through the
 // functions below: one merge, one snapshot delta and one codec, all
@@ -25,9 +25,11 @@ struct PlanCounters {
   std::uint64_t tune_searches = 0;    ///< tuning searches run on misses
   std::uint64_t tune_trials_run = 0;  ///< candidate configs those measured
   std::uint64_t regions = 0;       ///< largest region partition planned
-  std::uint64_t seam_sensors = 0;  ///< seam sensors the stitches saw
-  /// Sensors the stitch moved off a color they already held (sensors
-  /// entering the stitch uncolored are not recolors).
+  /// Always 0: no plan stitches seams.  Kept so every reader of the
+  /// wire and report format still finds the field.
+  std::uint64_t seam_sensors = 0;
+  /// Sensors a warm region repair moved off a color they already held
+  /// (dirty sensors entering the repair uncolored are not recolors).
   std::uint64_t stitch_recolored = 0;
 
   /// The one merge: sums every count and keeps the max of `regions`.

@@ -38,8 +38,8 @@ struct BatchItem {
   TorusSearchConfig search;
   SaConfig sa;
   bool verify = true;
-  /// Spatial shard count for the region-sharded backend
-  /// (SessionConfig::regions; 1 = unsharded).  Ships over the
+  /// Spatial region count for the region-greedy backend's warm routing
+  /// (SessionConfig::regions; 1 = one region).  Ships over the
   /// distributed wire alongside the other planning knobs.
   std::size_t regions = 1;
   /// Region halo override (SessionConfig::region_halo); -1 = the

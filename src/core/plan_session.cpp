@@ -511,7 +511,7 @@ void PlanSession::apply(const DeploymentDelta& delta) {
     }
   }
 
-  // Region warm state: carry the stitched table onto the new ids and
+  // Region warm state: carry the region-greedy table onto the new ids and
   // record every position where the conflict structure changed — the
   // old positions of removed/moved/reshaped sensors and the new
   // positions of the delta's own sensors.  plan_regions routes these to
@@ -620,7 +620,7 @@ std::vector<PlanResult> PlanSession::replan() {
     ++stats_.warm_greedy;
   }
 
-  // Region-sharded warm start: the carried stitched table plus the
+  // Region-greedy warm start: the carried slot table plus the
   // accumulated dirty positions route this replan to the shards the
   // deltas touched (exact, like the greedy warm start above).
   RegionWarmStart region_warm;
@@ -658,7 +658,7 @@ std::vector<PlanResult> PlanSession::replan() {
       break;
     }
   }
-  // Likewise for the region-sharded table: its stitched result becomes
+  // Likewise for the region-greedy table: its result becomes
   // the carried state and the dirty-position log restarts empty.
   for (std::size_t i = 0; i < selected.size(); ++i) {
     if (selected[i]->wants_region_shard() && results[i].ok) {

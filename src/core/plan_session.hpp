@@ -140,7 +140,7 @@ struct SessionConfig {
   /// performance knob: patched and rebuilt graphs are identical (pinned
   /// by the session property tests).
   std::size_t graph_patch_dirty_denominator = kGraphPatchDirtyDenominator;
-  /// Spatial shard count for the region-sharded backend
+  /// Spatial region count for the region-greedy backend
   /// (PlanRequest::regions).  When a selected backend plans by region,
   /// the session routes every delta to the shards it dirties and replans
   /// only those (SessionStats::regions_replanned counts them).
@@ -252,7 +252,7 @@ class PlanSession {
   std::vector<std::uint32_t> prev_greedy_;
   std::vector<std::uint32_t> color_dirty_;
 
-  /// Previous region-sharded slot table carried onto current sensor
+  /// Previous region-greedy slot table carried onto current sensor
   /// ids, plus every position where the conflict structure changed
   /// since (and the largest pre-delta interference reach those
   /// positions were recorded against) — the dirty-region routing state

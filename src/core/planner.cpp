@@ -148,12 +148,12 @@ class ColoringPlanner final : public Planner {
   ColoringHeuristic heuristic_;
 };
 
-// Spatial region sharding (core/region_shard.hpp): the deployment's
-// window is partitioned into halo-grown rectangular shards, each
-// first-fit colored from a streaming per-region CSR block, and the seams
-// stitched back to the exact serial greedy fixpoint.  The one backend
-// that plans million-sensor deployments without materializing the
-// all-pairs conflict graph.
+// Streaming greedy (core/region_shard.hpp): one first-fit pass in
+// sensor-index order over rows probed from the deployment, so the table
+// is exactly the serial greedy plan.  The spatial partition only routes
+// warm replans to the regions a delta dirtied.  The one backend that
+// plans million-sensor deployments without materializing the all-pairs
+// conflict graph.
 class RegionGreedyPlanner final : public Planner {
  public:
   std::string name() const override { return "region-greedy"; }
@@ -173,7 +173,7 @@ class RegionGreedyPlanner final : public Planner {
     raw.slots.period = color_count(raw.slots.slot);
     raw.slots.source = "region-greedy";
     std::ostringstream os;
-    os << "region-sharded greedy ("
+    os << "streaming greedy ("
        << (stats->regions - regions_before) << " region(s), "
        << raw.slots.period << " slots)";
     raw.detail = os.str();

@@ -13,9 +13,10 @@
 //   welsh-powell  first-fit by decreasing degree
 //   dsatur        Brélaz saturation coloring
 //   annealing     simulated-annealing coloring (Wang–Ansari stand-in)
-//   region-greedy spatially sharded greedy: per-region streaming conflict
-//                 blocks + seam stitching (exactly the greedy table,
-//                 without materializing the full conflict graph)
+//   region-greedy streaming greedy: one first-fit pass over probed
+//                 conflict rows (exactly the greedy table, without
+//                 materializing the full conflict graph); the spatial
+//                 partition only routes warm replans to dirty regions
 //   tdma          one slot per sensor (the paper's non-scaling foil)
 //   mobile        tiling schedule + the Conclusions' location-based rule
 //                 (2-D only; PlanResult::mobile carries the scheduler)
@@ -124,9 +125,9 @@ struct PlanRequest {
   /// call.
   const PlanWarmStart* warm = nullptr;
 
-  /// Spatial shard count for the region-sharded backend (>= 1; 1 = one
-  /// region, still planned via the streaming builder).  Other backends
-  /// ignore it.
+  /// Spatial region count for the region-greedy backend's warm-replan
+  /// routing (>= 1).  Cold plans are one streaming pass at any count.
+  /// Other backends ignore it.
   std::size_t regions = 1;
 
   /// Region halo override; any value below the deployment's interference
@@ -139,8 +140,8 @@ struct PlanRequest {
   /// the call.
   const RegionWarmStart* region_warm = nullptr;
 
-  /// When non-null, the region-sharded backend accumulates its partition
-  /// / seam / stitch counters here (flows into SessionStats and the
+  /// When non-null, the region-greedy backend accumulates its partition
+  /// and warm-repair counters here (flows into SessionStats and the
   /// batch report footer).
   RegionShardStats* region_stats = nullptr;
 
@@ -254,7 +255,7 @@ class Planner {
   virtual bool wants_warm_start() const { return false; }
 
   /// Whether the backend consumes PlanRequest::region_warm — the
-  /// region-sharded backend replans only the shards a delta dirtied.
+  /// region-greedy backend repairs only the regions a delta dirtied.
   /// PlanSession maintains the region warm state iff some selected
   /// backend asks for it.
   virtual bool wants_region_shard() const { return false; }

@@ -1,49 +1,33 @@
 #include "core/region_shard.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <stdexcept>
-
-#include "util/parallel.hpp"
 
 namespace latticesched {
 
 namespace {
 
-/// Streaming one-row builder for the stitch pass: the candidate offset
-/// sets are computed once and shared across every lazily requested row
-/// (build_conflict_block amortizes them per block; the stitch asks for
-/// single rows).
-class RowBuilder {
- public:
-  explicit RowBuilder(const Deployment& d)
-      : d_(d), offsets_by_type_(d.prototiles().size()),
-        uniform_tiles_(d.prototiles().size() == 1) {}
-
-  void build(std::uint32_t u, std::vector<std::uint32_t>& row) const {
-    row.clear();
-    const std::uint32_t type = d_.type_of(u);
-    PointVec& offsets = offsets_by_type_[type];
-    if (offsets.empty()) offsets = conflict_candidate_offsets(d_, type);
-    const Point& pos = d_.position(u);
-    for (const Point& off : offsets) {
-      const auto v = d_.sensor_at(pos + off);
-      // Single prototile: a candidate-offset hit is a conflict by
-      // construction (same fast path as build_conflict_block).
-      if (v.has_value() && *v != u &&
-          (uniform_tiles_ || sensors_conflict(d_, u, *v))) {
-        row.push_back(static_cast<std::uint32_t>(*v));
-      }
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
+/// Serial first-fit in sensor-index order over streamed conflict rows:
+/// c(u) = mex{c(v) : v ~ u, v < u}, which is by definition
+/// greedy_coloring(build_conflict_graph(d)).  Only the partners below u
+/// are read, and no row outlives its probe.
+Coloring streaming_greedy(const Deployment& d) {
+  const std::size_t n = d.size();
+  const ConflictProber prober(d);
+  Coloring colors(n, kUncolored);
+  // taken[c] == u + 1 iff color c is held by a lower partner of u.
+  std::vector<std::uint32_t> taken;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    prober.for_each(u, [&](std::uint32_t v) {
+      if (v >= u) return;
+      if (colors[v] >= taken.size()) taken.resize(colors[v] + 1, 0);
+      taken[colors[v]] = u + 1;
+    });
+    std::uint32_t c = 0;
+    while (c < taken.size() && taken[c] == u + 1) ++c;
+    colors[u] = c;
   }
-
- private:
-  const Deployment& d_;
-  mutable std::vector<PointVec> offsets_by_type_;
-  const bool uniform_tiles_;
-};
+  return colors;
+}
 
 }  // namespace
 
@@ -136,8 +120,7 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
                       std::int64_t halo, const RegionWarmStart* warm,
                       RegionShardStats* stats) {
   const std::size_t n = d.size();
-  Coloring colors(n, kUncolored);
-  if (n == 0) return colors;
+  if (n == 0) return Coloring{};
 
   const RegionGrid grid = partition_regions(d, regions, halo);
   const std::size_t total = grid.boxes.size();
@@ -145,11 +128,10 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
   // Dirty-region routing: with warm state, a shard needs re-coloring iff
   // its halo-expanded box contains a position where the conflict
   // structure changed — everything further away kept both its row and
-  // (pending the stitch) its fixpoint color.
+  // (pending the repair) its fixpoint color.
   std::vector<std::uint32_t> planned;
   bool warm_ok = warm != nullptr && warm->colors.size() == n;
   if (warm_ok) {
-    colors = warm->colors;
     const std::int64_t route_halo = std::max(grid.halo, warm->dirty_reach);
     for (std::size_t r = 0; r < total; ++r) {
       const Box reach = grid.boxes[r].expanded(route_halo);
@@ -161,100 +143,52 @@ Coloring plan_regions(const Deployment& d, std::size_t regions,
       }
     }
     // Safety net: a sensor without a carried color must sit in a planned
-    // shard; inconsistent warm state degrades to a cold region plan.
+    // shard; inconsistent warm state degrades to a cold plan.
     std::vector<char> is_planned(total, 0);
     for (std::uint32_t r : planned) is_planned[r] = 1;
     for (std::size_t i = 0; i < n && warm_ok; ++i) {
-      if (colors[i] == kUncolored && !is_planned[grid.region_of[i]]) {
+      if (warm->colors[i] == kUncolored && !is_planned[grid.region_of[i]]) {
         warm_ok = false;
       }
     }
   }
-  if (!warm_ok) {
-    colors.assign(n, kUncolored);
-    planned.resize(total);
-    std::iota(planned.begin(), planned.end(), 0);
-  }
 
-  // Phase 1 (cold plans): first-fit each shard independently from its
-  // streaming CSR block (intra-region edges only; blocks are discarded
-  // as soon as the shard is colored, so memory stays bounded per region
-  // times the worker count).  Writes touch disjoint index sets, and
-  // cross-region colors are never read, so the fan-out is race-free.
-  //
-  // Warm plans skip this phase: the stitch's change detection compares
-  // against the table it is handed, which must hold exactly the values
-  // the UNTOUCHED shards last observed — the carried fixpoint.  Local
-  // re-coloring would overwrite dirty members with values their clean
-  // neighbors never saw and silently suppress propagation, so dirty
-  // members enter the stitch uncolored instead (the fixpoint repair
-  // seeds every uncolored vertex and always propagates from it).
-  std::vector<char> seam(n, 0);
-  std::uint64_t seam_count = 0;
-  std::vector<std::uint32_t> seeds;
-  if (warm_ok) {
-    for (std::uint32_t r : planned) {
-      for (std::uint32_t u : grid.members[r]) colors[u] = kUncolored;
-    }
-  } else {
-    parallel_for(0, planned.size(), [&](std::size_t k) {
-      const std::uint32_t r = planned[k];
-      const std::vector<std::uint32_t>& mem = grid.members[r];
-      if (mem.empty()) return;
-      const CsrU32 block = build_conflict_block(d, mem);
-      std::vector<bool> used;
-      for (std::size_t li = 0; li < mem.size(); ++li) {
-        const std::uint32_t u = mem[li];
-        const auto row = block.row(li);
-        used.assign(row.size() + 2, false);
-        for (std::uint32_t v : row) {
-          if (grid.region_of[v] != r) {
-            seam[u] = 1;
-            continue;
-          }
-          if (v < u && colors[v] != kUncolored && colors[v] < used.size()) {
-            used[colors[v]] = true;
-          }
-        }
-        std::uint32_t c = 0;
-        while (used[c]) ++c;
-        colors[u] = c;
-      }
-    });
-    // Phase 2 seeds: every seam sensor (interior vertices already
-    // satisfy their mex equation against the local colors).
-    for (std::uint32_t u = 0; u < n; ++u) {
-      if (seam[u]) {
-        ++seam_count;
-        seeds.push_back(u);
-      }
-    }
+  // Cold plans, and warm plans that dirtied every shard, run the one
+  // streaming first-fit pass: the same table as a full repair, without
+  // the priority queue or the memoized rows.
+  const bool cold = !warm_ok || planned.size() == total;
+  if (stats != nullptr) {
+    stats->regions += total;
+    stats->regions_planned += cold ? total : planned.size();
   }
+  if (cold) return streaming_greedy(d);
 
-  // Phase 2: stitch back to the global greedy fixpoint.  Rows are
-  // streamed lazily and memoized — only seams, dirty members and
+  // Warm repair: dirty members enter uncolored and clean sensors keep
+  // the carried fixpoint — exactly the values their rows last observed,
+  // so the repair's change detection propagates from every dirty member.
+  // Rows are streamed lazily and memoized; only dirty members and
   // vertices reached by color propagation are ever materialized.
-  const RowBuilder builder(d);
+  Coloring colors = warm->colors;
+  for (std::uint32_t r : planned) {
+    for (std::uint32_t u : grid.members[r]) colors[u] = kUncolored;
+  }
+  const ConflictProber prober(d);
   std::vector<std::vector<std::uint32_t>> rows(n);
   std::vector<char> have(n, 0);
   const NeighborProvider provider =
       [&](std::uint32_t u) -> const std::vector<std::uint32_t>& {
     if (!have[u]) {
-      builder.build(u, rows[u]);
+      prober.row(u, rows[u]);
       have[u] = 1;
     }
     return rows[u];
   };
   const Coloring before = colors;
-  colors = incremental_greedy_coloring(n, provider, std::move(colors), seeds);
+  colors = incremental_greedy_coloring(n, provider, std::move(colors));
 
   if (stats != nullptr) {
-    stats->regions += total;
-    stats->regions_planned += planned.size();
-    stats->seam_sensors += seam_count;
-    // A recolor moves a sensor off a color it already held.  Dirty
-    // members of a warm plan enter uncolored, so repairing them is not
-    // one; cold plans enter fully colored and count every change.
+    // A recolor moves a clean sensor off the color it carried; dirty
+    // members entered uncolored, so coloring them is not one.
     for (std::size_t i = 0; i < n; ++i) {
       if (before[i] != kUncolored && colors[i] != before[i]) {
         ++stats->stitch_recolored;

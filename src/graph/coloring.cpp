@@ -103,8 +103,7 @@ Coloring incremental_greedy_coloring(
 
 Coloring incremental_greedy_coloring(std::size_t n,
                                      const NeighborProvider& neighbors,
-                                     Coloring previous,
-                                     const std::vector<std::uint32_t>& dirty) {
+                                     Coloring previous) {
   if (previous.size() != n) {
     throw std::invalid_argument(
         "incremental_greedy_coloring: coloring/vertex-count mismatch");
@@ -118,13 +117,6 @@ Coloring incremental_greedy_coloring(std::size_t n,
       queue.push(u);
     }
   };
-  for (std::uint32_t u : dirty) {
-    if (u >= n) {
-      throw std::invalid_argument(
-          "incremental_greedy_coloring: dirty vertex out of range");
-    }
-    push(u);
-  }
   for (std::uint32_t u = 0; u < n; ++u) {
     if (previous[u] == kUncolored) push(u);
   }

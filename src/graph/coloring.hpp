@@ -57,14 +57,13 @@ using NeighborProvider =
 
 /// Same fixpoint repair as the Graph overload, but with neighbor rows
 /// supplied lazily by `neighbors` instead of a materialized adjacency —
-/// the region-sharded planner stitches seam sensors of million-vertex
-/// conflict graphs without ever holding the full edge set.  Rows are
-/// only requested for dirty vertices and vertices reached by color
-/// propagation.
+/// the region-greedy planner repairs warm replans of million-vertex
+/// conflict graphs without ever holding the full edge set.  The repair
+/// starts from every kUncolored vertex; rows are only requested for
+/// those and for vertices reached by color propagation.
 Coloring incremental_greedy_coloring(std::size_t n,
                                      const NeighborProvider& neighbors,
-                                     Coloring previous,
-                                     const std::vector<std::uint32_t>& dirty);
+                                     Coloring previous);
 
 /// Welsh–Powell: first-fit in order of decreasing degree.
 Coloring welsh_powell_coloring(const Graph& g);

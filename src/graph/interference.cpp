@@ -286,48 +286,18 @@ std::int64_t interference_reach(const Deployment& d) {
   return reach;
 }
 
-CsrU32 build_conflict_block(const Deployment& d,
-                            const std::vector<std::uint32_t>& sensors) {
-  std::vector<PointVec> offsets_by_type(d.prototiles().size());
-  const auto offsets_for = [&](std::uint32_t type) -> const PointVec& {
-    PointVec& offsets = offsets_by_type[type];
-    if (offsets.empty()) offsets = conflict_candidate_offsets(d, type);
-    return offsets;
-  };
-  // Single-prototile fast path: a candidate offset a - b hitting a
-  // sensor v means the cell pos_u + a = pos_v + b is covered by both
-  // neighborhoods, so every probe hit IS a conflict — the pairwise
-  // confirmation only matters when v's prototile may differ from the
-  // one b was drawn from.
-  const bool uniform_tiles = d.prototiles().size() == 1;
-  CsrU32 block;
-  block.offsets.reserve(sensors.size() + 1);
-  block.offsets.push_back(0);
-  std::vector<std::uint32_t> row;
-  for (std::uint32_t u : sensors) {
-    if (u >= d.size()) {
-      throw std::invalid_argument(
-          "build_conflict_block: sensor index out of range");
-    }
-    row.clear();
-    const Point& pos = d.position(u);
-    for (const Point& off : offsets_for(d.type_of(u))) {
-      const auto v = d.sensor_at(pos + off);
-      if (v.has_value() && *v != u &&
-          (uniform_tiles || sensors_conflict(d, u, *v))) {
-        row.push_back(static_cast<std::uint32_t>(*v));
-      }
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-    block.values.insert(block.values.end(), row.begin(), row.end());
-    if (block.values.size() > 0xFFFFFFFFull) {
-      throw std::length_error(
-          "build_conflict_block: more than 2^32-1 entries in one block");
-    }
-    block.offsets.push_back(static_cast<std::uint32_t>(block.values.size()));
-  }
-  return block;
+const PointVec& ConflictProber::offsets_for(std::uint32_t type) const {
+  PointVec& offsets = offsets_by_type_[type];
+  if (offsets.empty()) offsets = conflict_candidate_offsets(d_, type);
+  return offsets;
+}
+
+void ConflictProber::row(std::uint32_t u,
+                         std::vector<std::uint32_t>& row) const {
+  row.clear();
+  // Offsets are distinct and positions unique, so no partner repeats.
+  for_each(u, [&](std::uint32_t v) { row.push_back(v); });
+  std::sort(row.begin(), row.end());
 }
 
 Graph patch_conflict_graph(const Graph& old_graph, const Deployment& new_d,
@@ -370,21 +340,10 @@ Graph patch_conflict_graph(const Graph& old_graph, const Deployment& new_d,
   // Dirty rows rebuild locally.  Dirty-dirty edges are discovered from
   // both endpoints (the predicate is symmetric), so each dirty row is
   // complete on its own; only clean partners need the symmetric insert.
-  std::vector<PointVec> offsets_by_type(new_d.prototiles().size());
+  const ConflictProber prober(new_d);
   for (std::uint32_t u : dirty) {
-    const std::uint32_t type = new_d.type_of(u);
-    PointVec& offsets = offsets_by_type[type];
-    if (offsets.empty()) offsets = conflict_candidate_offsets(new_d, type);
-    const Point& pos = new_d.position(u);
     std::vector<std::uint32_t>& row = adj[u];
-    for (const Point& off : offsets) {
-      const auto v = new_d.sensor_at(pos + off);
-      if (v.has_value() && *v != u && sensors_conflict(new_d, u, *v)) {
-        row.push_back(static_cast<std::uint32_t>(*v));
-      }
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
+    prober.row(u, row);
     for (std::uint32_t v : row) {
       if (is_dirty[v]) continue;
       std::vector<std::uint32_t>& back = adj[v];

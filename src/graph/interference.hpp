@@ -122,14 +122,46 @@ PointVec conflict_candidate_offsets(const Deployment& d, std::uint32_t type);
 /// this can never conflict — the halo width of the region sharder.
 std::int64_t interference_reach(const Deployment& d);
 
-/// Streaming per-region conflict rows: a CSR block with one row per
-/// listed sensor (in the given order) holding its full sorted conflict
-/// row as GLOBAL sensor ids.  Built by localized sensor_at probes over
-/// the candidate-offset sets — cost and memory scale with the block, so
-/// million-sensor deployments are planned region by region without ever
-/// materializing the all-pairs adjacency of build_conflict_graph.
-CsrU32 build_conflict_block(const Deployment& d,
-                            const std::vector<std::uint32_t>& sensors);
+/// Streaming conflict rows: localized sensor_at probes over each type's
+/// conflict_candidate_offsets enumerate a sensor's conflict partners
+/// without touching the rest of the deployment, so cost scales with the
+/// rows asked for — million-sensor deployments are planned without ever
+/// materializing the all-pairs adjacency of build_conflict_graph.  The
+/// one probe loop behind the streaming greedy pass, the warm repair's
+/// lazily built rows and patch_conflict_graph's dirty rows.  Offset sets
+/// are computed per type on first use, so a prober is single-threaded.
+class ConflictProber {
+ public:
+  explicit ConflictProber(const Deployment& d)
+      : d_(d), offsets_by_type_(d.prototiles().size()),
+        uniform_tiles_(d.prototiles().size() == 1) {}
+
+  /// Calls f(v) once for every sensor v conflicting u, in probe order.
+  template <class F>
+  void for_each(std::uint32_t u, F&& f) const {
+    const Point& pos = d_.position(u);
+    for (const Point& off : offsets_for(d_.type_of(u))) {
+      const auto v = d_.sensor_at(pos + off);
+      // Single prototile: a hit pos_u + (a - b) = pos_v means the cell
+      // pos_u + a = pos_v + b is covered by both neighborhoods, so every
+      // hit IS a conflict.  Mixed prototiles confirm pairwise.
+      if (v.has_value() && *v != u &&
+          (uniform_tiles_ || sensors_conflict(d_, u, *v))) {
+        f(static_cast<std::uint32_t>(*v));
+      }
+    }
+  }
+
+  /// u's conflict row, sorted ascending, into `row` (cleared first).
+  void row(std::uint32_t u, std::vector<std::uint32_t>& row) const;
+
+ private:
+  const PointVec& offsets_for(std::uint32_t type) const;
+
+  const Deployment& d_;
+  mutable std::vector<PointVec> offsets_by_type_;
+  const bool uniform_tiles_;
+};
 
 /// Marks a removed sensor in `old_to_new` index maps.
 inline constexpr std::uint32_t kRemovedSensor = 0xffffffffu;

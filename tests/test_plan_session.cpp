@@ -263,7 +263,7 @@ TEST(PlanSession, PropertyRandomDeltaSequencesEqualColdForEveryBackend) {
   set_parallel_threads(1);
   const std::vector<std::string> backends = {
       "tiling", "greedy", "welsh-powell", "dsatur", "annealing", "tdma",
-      "mobile"};
+      "mobile", "region-greedy"};
   for (const char* scenario : {"grid", "mobile", "random-subset"}) {
     ScenarioParams params;
     params.n = 5;
@@ -272,6 +272,7 @@ TEST(PlanSession, PropertyRandomDeltaSequencesEqualColdForEveryBackend) {
         ScenarioRegistry::global().build(scenario, params);
     SessionConfig config;
     config.backends = backends;
+    config.regions = 4;
     if (instance.lattice.has_value()) config.lattice = &*instance.lattice;
     if (instance.tiling.has_value()) config.tiling = &*instance.tiling;
     PlanSession session(std::move(instance.deployment), config);

@@ -1,5 +1,5 @@
-// Region-sharding tests: the spatial partitioner, the streaming
-// conflict blocks, and the seam-stitch identity.
+// Region-greedy tests: the spatial partitioner, the streaming conflict
+// prober, and the warm dirty-region repair.
 //
 // The load-bearing pin is EXACTNESS: plan_regions must return exactly
 // greedy_coloring(build_conflict_graph(d)) — the serial cold plan —
@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "core/plan_service.hpp"
 #include "core/plan_session.hpp"
@@ -82,34 +84,37 @@ TEST(RegionShard, ConflictBlockMatchesFullGraphRows) {
   for (const Deployment& d :
        {grid_deployment(9, 2), mixed_scatter(10, 7)}) {
     const Graph g = build_conflict_graph(d);
-    std::vector<std::uint32_t> all(d.size());
-    for (std::uint32_t i = 0; i < d.size(); ++i) all[i] = i;
-    const CsrU32 block = build_conflict_block(d, all);
-    ASSERT_EQ(block.rows(), d.size());
+    const ConflictProber prober(d);
+    std::vector<std::uint32_t> row;
     for (std::uint32_t u = 0; u < d.size(); ++u) {
       std::vector<std::uint32_t> expected = g.neighbors(u);
       std::sort(expected.begin(), expected.end());
-      const auto row = block.row(u);
-      ASSERT_EQ(row.size(), expected.size()) << "sensor " << u;
-      EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()))
-          << "sensor " << u;
+      prober.row(u, row);
+      EXPECT_EQ(row, expected) << "sensor " << u;
     }
   }
 }
 
 TEST(RegionShard, ColdPlanIdenticalToSerialGreedy) {
+  std::vector<std::pair<std::string, Deployment>> cases;
   for (const std::int64_t n : {5, 12, 16}) {
     for (const std::int64_t r : {1, 2}) {
-      const Deployment d = grid_deployment(n, r);
-      const Coloring serial = serial_greedy(d);
-      for (const std::size_t regions : {1, 2, 4, 9}) {
-        RegionShardStats stats;
-        const Coloring sharded =
-            plan_regions(d, regions, -1, nullptr, &stats);
-        EXPECT_EQ(sharded, serial)
-            << "n=" << n << " r=" << r << " regions=" << regions;
-        EXPECT_EQ(stats.regions, stats.regions_planned);
-      }
+      cases.emplace_back(
+          "n=" + std::to_string(n) + " r=" + std::to_string(r),
+          grid_deployment(n, r));
+    }
+  }
+  // 3-D: the candidate offsets span all three axes.
+  cases.emplace_back("3-D n=7 r=1",
+                     Deployment::grid(Box::cube(3, 0, 6),
+                                      shapes::chebyshev_ball(3, 1)));
+  for (const auto& [label, d] : cases) {
+    const Coloring serial = serial_greedy(d);
+    for (const std::size_t regions : {1, 2, 4, 9, 64}) {
+      RegionShardStats stats;
+      const Coloring planned = plan_regions(d, regions, -1, nullptr, &stats);
+      EXPECT_EQ(planned, serial) << label << " regions=" << regions;
+      EXPECT_EQ(stats.regions, stats.regions_planned);
     }
   }
 }
@@ -290,9 +295,9 @@ TEST(RegionShard, ReportFooterRoundTripsRegionCounters) {
   EXPECT_EQ(parsed.stitch_recolored, 56u);
 }
 
-TEST(RegionShard, StitchRecolorsCountOnlySensorsThatHeldAColor) {
-  // One region has no seams, so nothing is ever stitched: the warm
-  // repairs of a failure trace are not stitch recolors.
+TEST(RegionShard, ColdAndSingleRegionPlansRecolorNothing) {
+  // One region: every delta of a failure trace dirties it, so each step
+  // runs the cold pass — nothing is repaired, nothing recolored.
   BatchItem trace;
   trace.query.scenario = "grid-failures";
   trace.backends = {"region-greedy"};
@@ -305,8 +310,7 @@ TEST(RegionShard, StitchRecolorsCountOnlySensorsThatHeldAColor) {
   EXPECT_EQ(warm.seam_sensors, 0u);
   EXPECT_EQ(warm.stitch_recolored, 0u);
 
-  // A cold multi-region plan enters the stitch fully colored, so every
-  // change counts, as before.
+  // A cold multi-region plan is one streaming pass: no seam, no stitch.
   BatchItem cold;
   cold.query.scenario = "grid";
   cold.query.params.n = 30;
@@ -315,8 +319,8 @@ TEST(RegionShard, StitchRecolorsCountOnlySensorsThatHeldAColor) {
   const BatchReport sharded = service.run({cold});
   ASSERT_TRUE(sharded.all_ok());
   EXPECT_EQ(sharded.regions, 9u);
-  EXPECT_EQ(sharded.seam_sensors, 416u);
-  EXPECT_EQ(sharded.stitch_recolored, 800u);
+  EXPECT_EQ(sharded.seam_sensors, 0u);
+  EXPECT_EQ(sharded.stitch_recolored, 0u);
 }
 
 TEST(RegionShard, BatchItemsRoundTripRegionKnobs) {
