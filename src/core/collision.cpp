@@ -23,7 +23,8 @@ void validate(const Deployment& d, const SensorSlots& slots) {
   if (slots.slot.size() != d.size()) {
     throw std::invalid_argument("check_collision_free: size mismatch");
   }
-  if (slots.period == 0) {
+  // Zero sensors are vacuously collision-free, at any period.
+  if (slots.period == 0 && d.size() > 0) {
     throw std::invalid_argument("check_collision_free: zero period");
   }
   for (std::uint32_t i = 0; i < d.size(); ++i) {
@@ -49,7 +50,7 @@ CsrU32 sensors_by_slot(const Deployment& d, const SensorSlots& slots) {
 CollisionReport check_collision_free(const Deployment& d,
                                      const SensorSlots& slots) {
   validate(d, slots);
-  const auto grid = d.coverage_grid();
+  const auto& grid = d.coverage_grid();
   if (!grid.has_value()) return check_collision_free_reference(d, slots);
   CollisionReport report;
   const CsrU32 cov = coverage_ids(d, *grid);

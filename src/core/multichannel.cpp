@@ -66,35 +66,21 @@ CollisionReport check_collision_free_multichannel(
     throw std::invalid_argument(
         "check_collision_free_multichannel: size mismatch");
   }
-  CollisionReport report;
-  // Bucket by (slot, channel); coverage counting within each bucket.
-  std::vector<std::vector<std::uint32_t>> buckets(
-      static_cast<std::size_t>(slots.period) * slots.channels);
-  for (std::uint32_t i = 0; i < d.size(); ++i) {
-    const SlotChannel& a = slots.assignment[i];
+  // Sensors collide only within one (slot, channel) pair, so each pair is
+  // a bucket of the single-channel check; buckets keep slot-major order,
+  // hence the same verdict, pair count and first witness.
+  SensorSlots buckets;
+  buckets.period = slots.period * slots.channels;
+  buckets.slot.reserve(d.size());
+  for (const SlotChannel& a : slots.assignment) {
     if (a.slot >= slots.period || a.channel >= slots.channels) {
       throw std::invalid_argument(
           "check_collision_free_multichannel: assignment out of range");
     }
-    buckets[a.slot * slots.channels + a.channel].push_back(i);
+    buckets.slot.push_back(a.slot * slots.channels + a.channel);
   }
-  for (std::uint32_t b = 0; b < buckets.size(); ++b) {
-    PointMap<std::uint32_t> first_cover;
-    for (std::uint32_t i : buckets[b]) {
-      for (const Point& p : d.coverage_of(i)) {
-        auto [it, inserted] = first_cover.emplace(p, i);
-        if (!inserted) {
-          ++report.pairs_checked;
-          if (report.collision_free) {
-            report.collision_free = false;
-            report.witness = CollisionWitness{
-                b / slots.channels, static_cast<std::size_t>(it->second),
-                static_cast<std::size_t>(i), p};
-          }
-        }
-      }
-    }
-  }
+  CollisionReport report = check_collision_free(d, buckets);
+  if (report.witness.has_value()) report.witness->slot /= slots.channels;
   return report;
 }
 

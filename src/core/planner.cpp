@@ -16,6 +16,7 @@
 #include "core/tiling_scheduler.hpp"
 #include "graph/coloring.hpp"
 #include "lattice/lattice.hpp"
+#include "tiling/lattice_tiling_search.hpp"
 #include "tune/auto_planner.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
@@ -44,6 +45,12 @@ Tiling acquire_tiling(const PlanRequest& request) {
       request.tiling_cache != nullptr
           ? request.tiling_cache->find_or_search(d.prototiles(), search)
           : search_periodic_tiling(d.prototiles(), search);
+  // A single prototile may tile only by a lattice whose quotient is
+  // cyclic (l1 balls of radius >= 3): no diagonal torus within the
+  // period budget fits it, but Theorem 1's index-|N| sublattices do.
+  if (!tiling.has_value() && d.prototiles().size() == 1) {
+    tiling = make_lattice_tiling(d.prototiles().front());
+  }
   if (!tiling.has_value()) {
     throw std::runtime_error(
         "no periodic tiling found within the search budget "

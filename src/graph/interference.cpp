@@ -2,10 +2,61 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/parallel.hpp"
 
 namespace latticesched {
+
+namespace {
+
+/// Box over the hull of every sensor's coverage — the hull of positions
+/// dilated by the hull of every prototile's bounding box (conservative:
+/// it may include never-covered cells) — or nullopt when the deployment
+/// is too scattered to densify.  A dense table costs O(hull volume), so
+/// the hull must be comparable to the actual coverage as well as under
+/// kDenseGridCellCap.  Throws on positions of mixed dimensions.
+std::optional<PointIndexer> dense_coverage_hull(
+    const PointVec& positions, const std::vector<std::uint32_t>& types,
+    const std::vector<Prototile>& prototiles) {
+  const std::size_t d = positions.front().dim();
+  Point lo = positions.front(), hi = positions.front();
+  for (const Point& p : positions) {
+    if (p.dim() != d) {
+      throw std::invalid_argument("Deployment: mixed dimensions");
+    }
+    for (std::size_t a = 0; a < d; ++a) {
+      lo[a] = std::min(lo[a], p[a]);
+      hi[a] = std::max(hi[a], p[a]);
+    }
+  }
+  std::uint64_t total_coverage = 0;
+  for (std::uint32_t t : types) total_coverage += prototiles[t].size();
+  const std::uint64_t max_cells = std::min<std::uint64_t>(
+      kDenseGridCellCap,
+      std::max<std::uint64_t>(std::uint64_t{1} << 16, 32 * total_coverage));
+  Point off_lo = Point::zero(d), off_hi = Point::zero(d);
+  for (const Prototile& t : prototiles) {
+    const Box bb = t.bounding_box();
+    for (std::size_t a = 0; a < d; ++a) {
+      off_lo[a] = std::min(off_lo[a], bb.lo()[a]);
+      off_hi[a] = std::max(off_hi[a], bb.hi()[a]);
+    }
+  }
+  std::uint64_t volume = 1;
+  for (std::size_t a = 0; a < d; ++a) {
+    lo[a] += off_lo[a];
+    hi[a] += off_hi[a];
+    const std::uint64_t extent = static_cast<std::uint64_t>(hi[a] - lo[a] + 1);
+    if (extent > max_cells || volume > max_cells / extent) {
+      return std::nullopt;
+    }
+    volume *= extent;
+  }
+  return PointIndexer::for_box(Box(lo, hi));
+}
+
+}  // namespace
 
 Deployment::Deployment(PointVec positions, std::vector<std::uint32_t> types,
                        std::vector<Prototile> prototiles)
@@ -22,23 +73,19 @@ Deployment::Deployment(PointVec positions, std::vector<std::uint32_t> types,
       throw std::invalid_argument("Deployment: bad prototile index");
     }
   }
-  for (std::uint32_t i = 0; i < positions_.size(); ++i) {
-    if (!index_of_position_.emplace(positions_[i], i).second) {
-      throw std::invalid_argument("Deployment: duplicate sensor position");
-    }
+  if (positions_.empty()) return;
+  grid_ = dense_coverage_hull(positions_, types_, prototiles_);
+  if (grid_.has_value()) {
+    sensor_of_cell_.assign(grid_->size(), PointIndexer::kInvalid);
   }
-  if (!positions_.empty()) {
-    // Same density demand as coverage_grid: the sentinel id table is
-    // O(hull volume), so scattered deployments keep the hash map.
-    const std::uint64_t cap = std::min<std::uint64_t>(
-        kDenseGridCellCap,
-        std::max<std::uint64_t>(std::uint64_t{1} << 16,
-                                64 * positions_.size()));
-    position_index_ = PointIndexer::try_for_points(positions_, cap);
-    if (position_index_.has_value()) {
-      // The hash map was only duplicate-detection scratch once the dense
-      // index answers sensor_at; release it instead of carrying both.
-      index_of_position_ = {};
+  for (std::uint32_t i = 0; i < positions_.size(); ++i) {
+    const bool fresh =
+        grid_.has_value()
+            ? std::exchange(sensor_of_cell_[grid_->id_of(positions_[i])],
+                            i) == PointIndexer::kInvalid
+            : index_of_position_.emplace(positions_[i], i).second;
+    if (!fresh) {
+      throw std::invalid_argument("Deployment: duplicate sensor position");
     }
   }
 }
@@ -77,57 +124,17 @@ PointVec Deployment::coverage_of(std::size_t i) const {
 }
 
 std::optional<std::size_t> Deployment::sensor_at(const Point& p) const {
-  if (position_index_.has_value()) {
-    const std::uint32_t id = position_index_->id_of(p);
-    if (id == PointIndexer::kInvalid) return std::nullopt;
-    return static_cast<std::size_t>(id);
+  if (grid_.has_value()) {
+    const std::uint32_t cell = grid_->id_of(p);
+    if (cell == PointIndexer::kInvalid ||
+        sensor_of_cell_[cell] == PointIndexer::kInvalid) {
+      return std::nullopt;
+    }
+    return static_cast<std::size_t>(sensor_of_cell_[cell]);
   }
   const auto it = index_of_position_.find(p);
   if (it == index_of_position_.end()) return std::nullopt;
   return static_cast<std::size_t>(it->second);
-}
-
-std::optional<PointIndexer> Deployment::coverage_grid(
-    std::uint64_t max_cells) const {
-  if (positions_.empty()) return std::nullopt;
-  const std::size_t d = positions_.front().dim();
-  // Densifying costs O(hull volume) per consumer, so demand the hull be
-  // comparably sized to the actual coverage: sparse-but-wide deployments
-  // stay on the hash paths even under the absolute cap.
-  std::uint64_t total_coverage = 0;
-  for (std::uint32_t t : types_) total_coverage += prototiles_[t].size();
-  max_cells = std::min<std::uint64_t>(
-      max_cells,
-      std::max<std::uint64_t>(std::uint64_t{1} << 16, 32 * total_coverage));
-  // Hull of positions, dilated by the hull of every prototile's bounding
-  // box: conservative (may include never-covered cells) but exact enough —
-  // grid mode answers id_of for every covered point in O(d).
-  Point lo = positions_.front(), hi = positions_.front();
-  for (const Point& p : positions_) {
-    for (std::size_t a = 0; a < d; ++a) {
-      lo[a] = std::min(lo[a], p[a]);
-      hi[a] = std::max(hi[a], p[a]);
-    }
-  }
-  Point off_lo = Point::zero(d), off_hi = Point::zero(d);
-  for (const Prototile& t : prototiles_) {
-    const Box bb = t.bounding_box();
-    for (std::size_t a = 0; a < d; ++a) {
-      off_lo[a] = std::min(off_lo[a], bb.lo()[a]);
-      off_hi[a] = std::max(off_hi[a], bb.hi()[a]);
-    }
-  }
-  std::uint64_t volume = 1;
-  for (std::size_t a = 0; a < d; ++a) {
-    lo[a] += off_lo[a];
-    hi[a] += off_hi[a];
-    const std::uint64_t extent = static_cast<std::uint64_t>(hi[a] - lo[a] + 1);
-    if (extent > max_cells || volume > max_cells / extent) {
-      return std::nullopt;
-    }
-    volume *= extent;
-  }
-  return PointIndexer::for_box(Box(lo, hi));
 }
 
 CsrU32 coverage_ids(const Deployment& d, const PointIndexer& grid) {
@@ -199,7 +206,7 @@ Graph build_conflict_graph_hashed(const Deployment& d) {
 }  // namespace
 
 Graph build_conflict_graph(const Deployment& d) {
-  const auto grid = d.coverage_grid();
+  const auto& grid = d.coverage_grid();
   if (!grid.has_value()) return build_conflict_graph_hashed(d);
   // Invert coverage on the dense grid: CSR row per grid cell listing the
   // sensors that cover it; any two of them conflict.

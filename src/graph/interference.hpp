@@ -10,10 +10,13 @@
 // "distance ≤ 2 via a common out-neighbor" in the affects digraph.
 //
 // Engine note: deployment queries back every verification, graph build
-// and simulation step, so positions are indexed by a dense PointIndexer
-// grid when the deployment's bounding box permits (always, for the grid
-// deployments the experiments use); the seed's hash map remains as the
-// fallback for pathologically scattered deployments.
+// and simulation step.  A deployment decides once, at construction,
+// whether its coverage hull is dense enough to index: if so it keeps one
+// box-mode PointIndexer over that hull plus a cell -> sensor table, and
+// sensor_at, the collision checker and the conflict-graph builder share
+// that one id space (always, for the grid deployments the experiments
+// use).  Only pathologically scattered deployments fall back to a hash
+// map of positions; a deployment never holds both.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +32,9 @@
 
 namespace latticesched {
 
-/// Grid-volume ceiling under which the engine densifies point sets; above
-/// it (scattered deployments spanning a huge hull) hash fallbacks engage.
+/// Grid-volume ceiling under which a deployment densifies its coverage
+/// hull; above it (scattered deployments spanning a huge hull) the hash
+/// fallbacks engage.
 inline constexpr std::uint64_t kDenseGridCellCap = std::uint64_t{1} << 23;
 
 class Deployment {
@@ -65,15 +69,16 @@ class Deployment {
   /// Points affected when sensor i broadcasts (its position + prototile).
   PointVec coverage_of(std::size_t i) const;
 
-  /// Index of the sensor at position p, if any.  O(d) grid arithmetic on
-  /// the dense position index; hash lookup only on the fallback path.
+  /// Index of the sensor at position p, if any.  O(d) grid arithmetic
+  /// plus one table read on the coverage grid; hash lookup only on the
+  /// scattered fallback.
   std::optional<std::size_t> sensor_at(const Point& p) const;
 
-  /// Dense grid over the hull of every sensor's coverage, or nullopt when
-  /// it would exceed `max_cells`.  The id space shared by the collision
-  /// checker and the conflict-graph builder.
-  std::optional<PointIndexer> coverage_grid(
-      std::uint64_t max_cells = kDenseGridCellCap) const;
+  /// Dense grid over the hull of every sensor's coverage, built once at
+  /// construction; nullopt for empty deployments and for hulls too
+  /// scattered to densify (see kDenseGridCellCap).  The id space shared
+  /// by sensor_at, the collision checker and the conflict-graph builder.
+  const std::optional<PointIndexer>& coverage_grid() const { return grid_; }
 
  private:
   Deployment(PointVec positions, std::vector<std::uint32_t> types,
@@ -81,9 +86,12 @@ class Deployment {
   PointVec positions_;
   std::vector<std::uint32_t> types_;
   std::vector<Prototile> prototiles_;
+  std::optional<PointIndexer> grid_;
+  /// Dense hull only: grid cell -> sensor id (PointIndexer::kInvalid
+  /// where no sensor sits).
+  std::vector<std::uint32_t> sensor_of_cell_;
+  /// Scattered hull only: position -> sensor id.
   PointMap<std::uint32_t> index_of_position_;
-  /// Dense position -> sensor id grid (absent for scattered deployments).
-  std::optional<PointIndexer> position_index_;
 };
 
 /// Coverage lists of every sensor as grid ids in one CSR buffer: row i

@@ -63,68 +63,10 @@ PointIndexer PointIndexer::for_sublattice(const Sublattice& m) {
   return PointIndexer(Point::zero(m.dim()), extent, /*axis0_fastest=*/true);
 }
 
-PointIndexer PointIndexer::for_points(const PointVec& pts) {
-  auto idx = try_for_points(pts, std::numeric_limits<std::uint32_t>::max());
-  if (!idx.has_value()) {
-    throw std::invalid_argument("PointIndexer: grid exceeds uint32 ids");
-  }
-  return std::move(*idx);
-}
-
-std::optional<PointIndexer> PointIndexer::try_for_points(
-    const PointVec& pts, std::uint64_t max_grid_cells) {
-  if (pts.empty()) {
-    throw std::invalid_argument("PointIndexer: empty point list");
-  }
-  const std::size_t d = pts.front().dim();
-  Point lo = pts.front(), hi = pts.front();
-  for (const Point& p : pts) {
-    if (p.dim() != d) {
-      throw std::invalid_argument("PointIndexer: mixed dimensions");
-    }
-    for (std::size_t i = 0; i < d; ++i) {
-      if (p[i] < lo[i]) lo[i] = p[i];
-      if (p[i] > hi[i]) hi[i] = p[i];
-    }
-  }
-  std::array<std::int64_t, kMaxDim> extent{};
-  std::uint64_t volume = 1;
-  for (std::size_t i = 0; i < d; ++i) {
-    extent[i] = hi[i] - lo[i] + 1;
-    // Guard overflow before multiplying pathological spreads.
-    if (static_cast<std::uint64_t>(extent[i]) > max_grid_cells ||
-        volume > max_grid_cells / static_cast<std::uint64_t>(extent[i])) {
-      return std::nullopt;
-    }
-    volume *= static_cast<std::uint64_t>(extent[i]);
-  }
-  if (volume > max_grid_cells ||
-      volume > std::numeric_limits<std::uint32_t>::max()) {
-    return std::nullopt;
-  }
-  PointIndexer idx(lo, extent, /*axis0_fastest=*/false);
-  idx.id_table_.assign(static_cast<std::size_t>(volume), kInvalid);
-  idx.points_ = pts;
-  idx.size_ = pts.size();
-  for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    std::uint64_t linear = 0;
-    for (std::size_t k = 0; k < d; ++k) {
-      linear += static_cast<std::uint64_t>(pts[i][k] - lo[k]) *
-                idx.stride_[k];
-    }
-    if (idx.id_table_[linear] != kInvalid) {
-      throw std::invalid_argument("PointIndexer: duplicate point");
-    }
-    idx.id_table_[linear] = i;
-  }
-  return idx;
-}
-
 Point PointIndexer::point_of(std::uint32_t id) const {
   if (id >= size_) {
     throw std::out_of_range("PointIndexer::point_of: bad id");
   }
-  if (!points_.empty()) return points_[id];
   Point p = lo_;
   std::uint64_t rest = id;
   if (axis0_fastest_) {
@@ -144,7 +86,6 @@ Point PointIndexer::point_of(std::uint32_t id) const {
 }
 
 PointVec PointIndexer::points() const {
-  if (!points_.empty()) return points_;
   PointVec out;
   out.reserve(size_);
   for (std::uint32_t i = 0; i < size_; ++i) out.push_back(point_of(i));

@@ -9,26 +9,22 @@
 // (strided) linear coordinate, and both directions of the lookup are O(d)
 // integer operations with no hashing and no allocation.
 //
-// Three construction modes cover the library's uses:
+// Two construction modes cover the library's uses:
 //  * for_box:        every point of a Box, ids in Box::points() order
 //                    (odometer, last axis fastest);
 //  * for_sublattice: the canonical coset representatives of a full-rank
 //                    sublattice, ids in coset_representatives() order
 //                    (first axis fastest) — the HNF reduce() image is
 //                    exactly the box [0, H[0][0]) x ... x [0, H[d-1][d-1]),
-//                    so coset ids are a perfect dense code;
-//  * for_points:     an arbitrary (duplicate-free) point list, ids in the
-//                    given order, backed by a grid-shaped id table over the
-//                    bounding box with an invalid-id sentinel.
+//                    so coset ids are a perfect dense code.
 //
-// for_points densifies the bounding box, so callers indexing scattered
-// points should bound the admissible grid volume (`try_for_points`) and
-// keep a hash-based fallback for pathological spreads.
+// Both are pure arithmetic: every grid point is indexed.  Callers indexing
+// a sparse subset (a deployment's sensors) keep their own id table over a
+// box index — see Deployment::coverage_grid.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "lattice/point.hpp"
@@ -50,24 +46,14 @@ class PointIndexer {
   /// point_of(i) == m.coset_representatives()[i].
   static PointIndexer for_sublattice(const Sublattice& m);
 
-  /// Indexes `pts` (must be duplicate-free); ids follow the given order.
-  /// Throws std::invalid_argument on duplicates or an empty list.
-  static PointIndexer for_points(const PointVec& pts);
-
-  /// As for_points, but declines (nullopt) when the bounding-box grid
-  /// would exceed `max_grid_cells` — callers keep their hash fallback.
-  static std::optional<PointIndexer> try_for_points(
-      const PointVec& pts, std::uint64_t max_grid_cells);
-
   std::size_t dim() const { return dim_; }
   /// Number of indexed points; valid ids are [0, size()).
   std::size_t size() const { return size_; }
   /// The grid hull the ids live in.
   const Box& bounds() const { return bounds_; }
 
-  /// Id of p, or kInvalid when p is not an indexed point.  O(d), no
-  /// hashing.  (In for_box / for_sublattice mode every grid point is
-  /// indexed; in for_points mode the grid table filters non-members.)
+  /// Id of p, or kInvalid when p lies outside the grid.  O(d), no
+  /// hashing.
   std::uint32_t id_of(const Point& p) const {
     if (p.dim() != dim_) return kInvalid;
     std::uint64_t linear = 0;
@@ -76,14 +62,12 @@ class PointIndexer {
       if (c < 0 || c >= extent_[i]) return kInvalid;
       linear += static_cast<std::uint64_t>(c) * stride_[i];
     }
-    if (id_table_.empty()) return static_cast<std::uint32_t>(linear);
-    return id_table_[linear];
+    return static_cast<std::uint32_t>(linear);
   }
 
   bool contains(const Point& p) const { return id_of(p) != kInvalid; }
 
-  /// Inverse map; id must be < size().  O(d) decode (grid modes) or a
-  /// table read (for_points mode).
+  /// Inverse map; id must be < size().  O(d) decode.
   Point point_of(std::uint32_t id) const;
 
   /// Materializes point_of for all ids (in id order).
@@ -99,11 +83,6 @@ class PointIndexer {
   Box bounds_;
   std::array<std::int64_t, kMaxDim> extent_{};
   std::array<std::uint64_t, kMaxDim> stride_{};
-  /// Empty in the dense grid modes; otherwise grid-linear -> id (kInvalid
-  /// marks grid cells that are not members of the indexed set).
-  std::vector<std::uint32_t> id_table_;
-  /// Empty in the dense grid modes; otherwise id -> point storage.
-  PointVec points_;
   bool axis0_fastest_ = false;
 };
 

@@ -52,30 +52,6 @@ TEST(PointIndexer, SublatticeModeMatchesCosetRepresentatives) {
   }
 }
 
-TEST(PointIndexer, PointsModeRoundTripsAndRejectsOutsiders) {
-  const PointVec pts = {Point{5, 0}, Point{-1, 2}, Point{3, 3}};
-  const PointIndexer idx = PointIndexer::for_points(pts);
-  ASSERT_EQ(idx.size(), pts.size());
-  for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(idx.id_of(pts[i]), i);
-    EXPECT_EQ(idx.point_of(i), pts[i]);
-  }
-  // In-hull but not a member.
-  EXPECT_EQ(idx.id_of(Point{0, 0}), PointIndexer::kInvalid);
-  EXPECT_THROW(PointIndexer::for_points({Point{1, 1}, Point{1, 1}}),
-               std::invalid_argument);
-}
-
-TEST(PointIndexer, TryForPointsDeclinesHugeHulls) {
-  const PointVec scattered = {Point{0, 0}, Point{1 << 20, 1 << 20}};
-  EXPECT_FALSE(
-      PointIndexer::try_for_points(scattered, /*max_grid_cells=*/1 << 16)
-          .has_value());
-  EXPECT_TRUE(
-      PointIndexer::try_for_points({Point{0, 0}, Point{3, 3}}, 1 << 16)
-          .has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Torus search: dense engine == legacy engine, result for result
 // ---------------------------------------------------------------------------

@@ -20,12 +20,33 @@ TEST(Deployment, UniformAndGrid) {
   EXPECT_EQ(d.coverage_of(0).size(), 5u);
   EXPECT_TRUE(d.sensor_at(Point{1, 1}).has_value());
   EXPECT_FALSE(d.sensor_at(Point{5, 5}).has_value());
+
+  // A sparse but dense-hulled deployment: the coverage grid answers
+  // every position, and in-hull cells holding no sensor stay empty.
+  const PointVec pts = {Point{5, 0}, Point{-1, 2}, Point{3, 3}};
+  const Deployment sparse = Deployment::uniform(pts, shapes::l1_ball(2, 1));
+  ASSERT_TRUE(sparse.coverage_grid().has_value());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    ASSERT_TRUE(sparse.sensor_at(pts[i]).has_value());
+    EXPECT_EQ(*sparse.sensor_at(pts[i]), i);
+  }
+  EXPECT_TRUE(sparse.coverage_grid()->contains(Point{0, 0}));
+  EXPECT_FALSE(sparse.sensor_at(Point{0, 0}).has_value());
+  EXPECT_FALSE(sparse.sensor_at(Point{7, 0}).has_value());
 }
 
 TEST(Deployment, DuplicatePositionsRejected) {
-  EXPECT_THROW(
-      Deployment::uniform({Point{0, 0}, Point{0, 0}}, shapes::l1_ball(2, 1)),
-      std::invalid_argument);
+  // Both index kinds: the dense coverage grid and the scattered-hull
+  // hash fallback.
+  for (const PointVec& pts :
+       {PointVec{Point{0, 0}, Point{0, 0}},
+        PointVec{Point{0, 0}, Point{1 << 20, 1 << 20}, Point{0, 0}}}) {
+    EXPECT_THROW(Deployment::uniform(pts, shapes::l1_ball(2, 1)),
+                 std::invalid_argument);
+  }
+  const Deployment scattered = Deployment::uniform(
+      {Point{0, 0}, Point{1 << 20, 1 << 20}}, shapes::l1_ball(2, 1));
+  EXPECT_FALSE(scattered.coverage_grid().has_value());
 }
 
 TEST(Deployment, FromTilingFollowsD1) {

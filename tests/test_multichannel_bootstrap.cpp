@@ -64,8 +64,14 @@ TEST(MultiChannel, DetectsPlantedCollision) {
   MultiChannelSlots slots;
   slots.period = 2;
   slots.channels = 2;
-  slots.assignment = {{0, 1}, {0, 1}};  // same slot, same channel
-  EXPECT_FALSE(check_collision_free_multichannel(d, slots).collision_free);
+  slots.assignment = {{1, 1}, {1, 1}};  // same slot, same channel
+  const CollisionReport r = check_collision_free_multichannel(d, slots);
+  EXPECT_FALSE(r.collision_free);
+  // The witness names the time slot, not the (slot, channel) bucket.
+  ASSERT_TRUE(r.witness.has_value());
+  EXPECT_EQ(r.witness->slot, 1u);
+  EXPECT_EQ(r.witness->sensor_a, 0u);
+  EXPECT_EQ(r.witness->sensor_b, 1u);
   slots.assignment = {{0, 1}, {0, 0}};  // same slot, different channel
   EXPECT_TRUE(check_collision_free_multichannel(d, slots).collision_free);
 }

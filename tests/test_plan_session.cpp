@@ -91,6 +91,27 @@ TEST(PlanSession, RemovalsReplanEqualsColdAndPatchesTheGraph) {
   EXPECT_EQ(session.stats().graph_builds, 1u);
   EXPECT_EQ(session.stats().graph_patches, 1u);
   EXPECT_EQ(session.stats().warm_greedy, 1u);
+
+  // Removing every sensor leaves a fleet that still plans: a check over
+  // zero sensors is vacuously collision-free, on one channel or several.
+  for (std::uint32_t channels : {1u, 2u}) {
+    SessionConfig empty_config;
+    empty_config.backends = {"greedy", "region-greedy"};
+    empty_config.channels = channels;
+    PlanSession emptied(grid_deployment(3), empty_config);
+    (void)emptied.replan();
+    DeploymentDelta remove_all;
+    remove_all.remove_sensors = emptied.deployment().positions();
+    emptied.apply(remove_all);
+    ASSERT_EQ(emptied.deployment().size(), 0u);
+    for (const PlanResult& r : emptied.replan()) {
+      EXPECT_TRUE(r.ok) << r.backend << " channels=" << channels << ": "
+                        << r.error;
+      EXPECT_TRUE(r.verified) << r.backend;
+      EXPECT_TRUE(r.collision_free) << r.backend;
+      EXPECT_EQ(r.slots.period, 0u) << r.backend;
+    }
+  }
 }
 
 TEST(PlanSession, AddMoveRadiusChannelsEqualCold) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "core/mobile.hpp"
 #include "core/planner.hpp"
@@ -190,6 +191,24 @@ TEST(Planner, MobileBackendOwnsTheLocationScheduler) {
   ASSERT_TRUE(r.tiling.has_value());
   // The location rule is consistent with the lattice schedule it wraps.
   EXPECT_LT(r.mobile->slot_of_location({0.1, -0.2}), 9u);
+
+  // l1 balls of radius >= 3 tile only by a lattice with a cyclic
+  // quotient, beyond every diagonal torus in the period budget: both
+  // tiling backends fall back to Theorem 1's index-|N| sublattices.
+  for (const auto& [radius, cells] :
+       {std::pair<std::int64_t, std::uint32_t>{3, 25}, {4, 41}}) {
+    const Deployment d =
+        Deployment::grid(Box::centered(2, 6), shapes::l1_ball(2, radius));
+    PlanRequest big;
+    big.deployment = &d;
+    for (const char* backend : {"tiling", "mobile"}) {
+      const PlanResult rr = PlannerRegistry::global().find(backend)->plan(big);
+      ASSERT_TRUE(rr.ok) << backend << " r=" << radius << ": " << rr.error;
+      EXPECT_TRUE(rr.verified) << backend;
+      EXPECT_TRUE(rr.collision_free) << backend;
+      EXPECT_EQ(rr.slots.period, cells) << backend << " r=" << radius;
+    }
+  }
 }
 
 TEST(Planner, MobileBackendIsTwoDimensionalOnly) {
