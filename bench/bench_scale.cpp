@@ -50,9 +50,9 @@ struct ScaleRecord {
   std::uint64_t seam_sensors = 0;
   std::uint64_t stitch_recolored = 0;
   double peak_rss_mb = 0.0;
-  /// Knob-sweep provenance (tune::KnobSpace names): set on records that
-  /// measure one knob setting, so tooling can join sweeps against the
-  /// registry without parsing record names.
+  /// Knob-sweep provenance (the swept field's name, e.g. `regions`):
+  /// set on records that measure one knob setting, so tooling can join
+  /// sweeps without parsing record names.
   std::string knob;
   double value = 0.0;
 };

@@ -36,9 +36,10 @@ struct SessionRecord {
   double cold_ms = 0.0;         // cold plan of the mutated deployment
   double incremental_ms = 0.0;  // session replan after the delta
   double speedup = 0.0;
-  /// Knob-sweep provenance (tune::KnobSpace names): set on records that
-  /// measure one knob setting, so tooling can join sweeps against the
-  /// registry without parsing record names.
+  /// Knob-sweep provenance (the swept field's name, e.g.
+  /// `graph_patch_dirty_denominator`): set on records that measure one
+  /// knob setting, so tooling can join sweeps without parsing record
+  /// names.
   std::string knob;
   double value = 0.0;
 };

@@ -33,10 +33,6 @@ const Field kFields[] = {
     {"regions", "seam_sensors", "seam_sensors", kSum, &C::seam_sensors},
     {"regions", "stitch_recolored", "stitch_recolored", kSum,
      &C::stitch_recolored},
-    {"tuning", "hits", "tune_hits", kSum, &C::tune_hits},
-    {"tuning", "misses", "tune_misses", kSum, &C::tune_misses},
-    {"tuning", "searches", "tune_searches", kSum, &C::tune_searches},
-    {"tuning", "trials", "tune_trials_run", kSum, &C::tune_trials_run},
 };
 
 void write_value(std::ostream& os, const Field& f, const PlanCounters& c,
@@ -60,15 +56,11 @@ PlanCounters& PlanCounters::operator+=(const PlanCounters& other) {
   return *this;
 }
 
-PlanCounters counters_between(const CounterSnapshot& before,
-                              const CounterSnapshot& after) {
+PlanCounters counters_between(const TilingCache::Stats& before,
+                              const TilingCache::Stats& after) {
   PlanCounters c;
-  c.cache_hits = after.tiling.hits - before.tiling.hits;
-  c.cache_misses = after.tiling.misses - before.tiling.misses;
-  c.tune_hits = after.tune.hits - before.tune.hits;
-  c.tune_misses = after.tune.misses - before.tune.misses;
-  c.tune_searches = after.tune.searches - before.tune.searches;
-  c.tune_trials_run = after.tune.trials - before.tune.trials;
+  c.cache_hits = after.hits - before.hits;
+  c.cache_misses = after.misses - before.misses;
   return c;
 }
 

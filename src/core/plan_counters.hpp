@@ -1,5 +1,5 @@
 // The plan-search counters every reporting surface carries: tiling-cache
-// traffic, auto-tuner searches and region-greedy warm repairs.  BatchReport,
+// traffic and region-greedy warm repairs.  BatchReport,
 // PlanSession::Stats (and so the serve CLOSE body) and the coordinator's
 // per-worker stats derive from PlanCounters and move it only through the
 // functions below: one merge, one snapshot delta and one codec, all
@@ -13,17 +13,12 @@
 #include <string_view>
 
 #include "core/tiling_cache.hpp"
-#include "tune/tune_cache.hpp"
 
 namespace latticesched {
 
 struct PlanCounters {
   std::uint64_t cache_hits = 0;    ///< TilingCache hits
   std::uint64_t cache_misses = 0;  ///< TilingCache misses
-  std::uint64_t tune_hits = 0;        ///< auto-backend TuneCache hits
-  std::uint64_t tune_misses = 0;      ///< auto-backend TuneCache misses
-  std::uint64_t tune_searches = 0;    ///< tuning searches run on misses
-  std::uint64_t tune_trials_run = 0;  ///< candidate configs those measured
   std::uint64_t regions = 0;       ///< largest region partition planned
   /// Always 0: no plan stitches seams.  Kept so every reader of the
   /// wire and report format still finds the field.
@@ -36,22 +31,16 @@ struct PlanCounters {
   PlanCounters& operator+=(const PlanCounters& other);
 };
 
-/// Cache statistics taken before and after some planning work.
-struct CounterSnapshot {
-  TilingCache::Stats tiling;
-  tune::TuneCache::Stats tune;
-};
-
-/// Cache and tune traffic between two snapshots.  The region counters
-/// stay 0: sessions count those.
-PlanCounters counters_between(const CounterSnapshot& before,
-                              const CounterSnapshot& after);
+/// Tiling-cache traffic between two snapshots of its stats, taken
+/// before and after some planning work.  The region counters stay 0:
+/// sessions count those.
+PlanCounters counters_between(const TilingCache::Stats& before,
+                              const TilingCache::Stats& after);
 
 /// Batch-report footer: one line per counter group, each indented two
 /// spaces and ending ",\n":
 ///   "cache": {"hits": H, "misses": M},
 ///   "regions": {"count": R, "seam_sensors": E, "stitch_recolored": C},
-///   "tuning": {"hits": H, "misses": M, "searches": S, "trials": T},
 void write_counter_groups(std::ostream& os, const PlanCounters& counters);
 
 /// When `line` is one of the footer lines above, reads its fields into
@@ -60,7 +49,7 @@ std::string_view read_counter_group(std::string_view line,
                                     PlanCounters* counters);
 
 /// Flat form keyed by member name (the serve CLOSE body):
-/// `"cache_hits": 1, "cache_misses": 0, ..., "tune_trials_run": 0`.
+/// `"cache_hits": 1, "cache_misses": 0, ..., "stitch_recolored": 0`.
 /// The reader throws std::invalid_argument on a missing or bad field.
 std::string counter_fields_to_json(const PlanCounters& counters);
 void counter_fields_from_json(std::string_view obj, PlanCounters* counters);

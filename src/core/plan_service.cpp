@@ -50,7 +50,7 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
     }
   }
 
-  const CounterSnapshot before{cache_.stats(), tune_cache_.stats()};
+  const TilingCache::Stats before = cache_.stats();
   const auto t0 = std::chrono::steady_clock::now();
 
   BatchReport report;
@@ -112,7 +112,7 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-  report += counters_between(before, {cache_.stats(), tune_cache_.stats()});
+  report += counters_between(before, cache_.stats());
   for (const PlanCounters& counters : item_counters) report += counters;
   return report;
 }
@@ -127,13 +127,6 @@ SessionConfig PlanService::session_config(const BatchItem& item) {
   config.region_halo = item.region_halo;
   config.tiling_cache = &cache_;
   config.planners = planners_;
-  config.tune_cache = &tune_cache_;
-  config.tune_trials = item.tune_trials;
-  config.tune_budget_ms = item.tune_budget_ms;
-  // Families bucket by scenario name, so a sweep's items of the same
-  // family share tuned configs (and the distributed shards of one sweep
-  // agree on them).
-  config.tune_family = item.query.scenario;
   return config;
 }
 

@@ -21,7 +21,6 @@
 #include "core/planner.hpp"
 #include "core/scenario.hpp"
 #include "core/tiling_cache.hpp"
-#include "tune/tune_cache.hpp"
 
 namespace latticesched {
 
@@ -50,9 +49,8 @@ struct BatchItem {
   /// driver's --script flag ships through here — including over the
   /// distributed wire.
   std::string trace_script;
-  /// Auto-backend tuning budgets (SessionConfig::{tune_trials,
-  /// tune_budget_ms}); ship over the distributed wire like every other
-  /// planning knob.
+  /// Ignored (PlanRequest::{tune_trials, tune_budget_ms}); kept so
+  /// existing callers still compile.  Not shipped over the wire.
   std::size_t tune_trials = 8;
   std::uint64_t tune_budget_ms = 0;
 };
@@ -84,8 +82,8 @@ struct BatchItemReport {
   bool all_ok() const;
 };
 
-/// A batch's results plus its PlanCounters: the tiling-cache and tune
-/// traffic of THIS run, and the region counters summed over its items
+/// A batch's results plus its PlanCounters: the tiling-cache traffic of
+/// THIS run, and the region counters summed over its items
 /// (`regions` is the largest partition any item planned with).
 struct BatchReport : PlanCounters {
   std::vector<BatchItemReport> items;  ///< in request order
@@ -121,7 +119,6 @@ class PlanService {
                        const ScenarioRegistry* scenarios = nullptr);
 
   TilingCache& tiling_cache() { return cache_; }
-  tune::TuneCache& tune_cache() { return tune_cache_; }
 
   /// Plans every item (fanned over the shared pool; results in request
   /// order at any thread count).  Scenario-build failures are reported
@@ -150,7 +147,6 @@ class PlanService {
   const PlannerRegistry* planners_;
   const ScenarioRegistry* scenarios_;
   TilingCache cache_;
-  tune::TuneCache tune_cache_;
 };
 
 }  // namespace latticesched

@@ -246,10 +246,6 @@ PlanSession::PlanSession(Deployment initial, SessionConfig config)
   base_.tiling_cache = config.tiling_cache;
   base_.regions = std::max<std::size_t>(config.regions, 1);
   base_.region_halo = config.region_halo;
-  base_.tune_cache = config.tune_cache;
-  base_.tune_trials = config.tune_trials;
-  base_.tune_budget_ms = config.tune_budget_ms;
-  base_.tune_family = config.tune_family;
   patch_denominator_ = config.graph_patch_dirty_denominator;
   owned_.emplace(std::move(initial));
   deployment_ = &*owned_;
@@ -272,13 +268,10 @@ std::vector<const Planner*> PlanSession::select_backends() const {
   if (backends_.empty()) {
     // Default selection: every backend that supports the request (the
     // mobile backend, e.g., sits out 3-D deployments instead of
-    // failing).  Meta-backends (`auto`) opt out of the default set —
-    // they delegate to a backend that is already in it.
+    // failing).
     for (const std::string& name : planners_->names()) {
       const Planner* p = planners_->find(name);
-      if (p != nullptr && p->in_default_set() && p->supports(probe)) {
-        selected.push_back(p);
-      }
+      if (p != nullptr && p->supports(probe)) selected.push_back(p);
     }
   } else {
     for (const std::string& name : backends_) {

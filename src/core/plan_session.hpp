@@ -160,13 +160,8 @@ struct SessionConfig {
   TilingCache* tiling_cache = nullptr;
   /// Planner registry; null = PlannerRegistry::global().
   const PlannerRegistry* planners = nullptr;
-  /// Shared tuning cache for the `auto` backend (PlanRequest::tune_cache);
-  /// null = each auto plan tunes into a private in-memory cache.
-  tune::TuneCache* tune_cache = nullptr;
-  /// Auto-backend tuning budgets (PlanRequest::{tune_trials,
-  /// tune_budget_ms}) and scenario-family label (PlanRequest::tune_family).
-  std::size_t tune_trials = 8;
-  std::uint64_t tune_budget_ms = 0;
+  /// Ignored (PlanRequest::tune_family); kept so existing callers still
+  /// compile.
   std::string tune_family;
 };
 
@@ -208,9 +203,9 @@ class PlanSession {
   std::uint64_t steps_applied() const { return stats_.deltas; }
 
   /// Incremental-reuse accounting (what the session saved).  Of the
-  /// PlanCounters the session fills the region counters; the cache and
-  /// tune counters stay 0 here, because a shared cache's traffic can
-  /// only be attributed by its owner (PlanService, PlanServer).
+  /// PlanCounters the session fills the region counters; the cache
+  /// counters stay 0 here, because a shared cache's traffic can only be
+  /// attributed by its owner (PlanService, PlanServer).
   struct Stats : PlanCounters {
     std::uint64_t replans = 0;
     std::uint64_t deltas = 0;

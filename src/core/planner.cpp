@@ -17,7 +17,6 @@
 #include "graph/coloring.hpp"
 #include "lattice/lattice.hpp"
 #include "tiling/lattice_tiling_search.hpp"
-#include "tune/auto_planner.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
 
@@ -221,10 +220,7 @@ PlanResult Planner::plan(const PlanRequest& request) const {
   PlanResult result;
   result.backend = name();
   result.channels = request.channels;
-  for (const Prototile& n : d.prototiles()) {
-    result.lower_bound = std::max(result.lower_bound,
-                                  static_cast<std::uint32_t>(n.size()));
-  }
+  result.lower_bound = d.max_coverage_multiplicity();
 
   const Clock::time_point t0 = Clock::now();
   try {
@@ -284,7 +280,7 @@ PlanResult Planner::plan(const PlanRequest& request) const {
     // the histogram counts senders per folded time slot (across
     // channels), the duty cycle uses the folded period, and the
     // optimality gap is judged against the pigeonhole bound
-    // ceil(lower_bound / c) (at most c of one tile's
+    // ceil(lower_bound / c) (at most c of the lower_bound clique's
     // pairwise-conflicting sensors can share a slot).
     std::vector<std::uint64_t> histogram(result.effective_period(), 0);
     if (result.channel_slots.has_value()) {
@@ -366,7 +362,6 @@ PlannerRegistry& PlannerRegistry::global() {
     r->register_planner(std::make_unique<RegionGreedyPlanner>());
     r->register_planner(std::make_unique<TdmaPlanner>());
     r->register_planner(std::make_unique<MobilePlanner>());
-    r->register_planner(std::make_unique<tune::AutoPlanner>());
     return r;
   }();
   return *registry;

@@ -20,10 +20,6 @@
 //   tdma          one slot per sensor (the paper's non-scaling foil)
 //   mobile        tiling schedule + the Conclusions' location-based rule
 //                 (2-D only; PlanResult::mobile carries the scheduler)
-//   auto          meta-backend: picks a delegate backend + knob config via
-//                 the tuning subsystem (src/tune/), consulting a persistent
-//                 TuneCache and falling back to a bounded search on miss;
-//                 excluded from the default "all" selection
 //
 // Two extensions are part of the planner currency rather than bolted on
 // by consumers: multi-channel schedules (request.channels > 1 folds every
@@ -59,10 +55,6 @@ class MobileScheduler;
 class TilingCache;
 struct RegionShardStats;
 struct RegionWarmStart;
-
-namespace tune {
-class TuneCache;
-}  // namespace tune
 
 /// Previous-plan state a PlanSession hands back to the backends so a
 /// replan after a small deployment delta touches only the dirty region.
@@ -145,24 +137,11 @@ struct PlanRequest {
   /// batch report footer).
   RegionShardStats* region_stats = nullptr;
 
-  /// Persistent tuning cache for the `auto` backend (tune/tune_cache.hpp).
-  /// Null = the auto backend tunes into a private in-memory cache that
-  /// dies with the call; the batch service always supplies its cache.
-  tune::TuneCache* tune_cache = nullptr;
-
-  /// Trial budget for an auto-backend tuning search on a tune-cache miss
-  /// (measured candidate configs; the default config is always trial 0).
+  /// Ignored.  Budgets and family label of the removed `auto` tuning
+  /// backend, kept so existing callers still compile; no backend reads
+  /// them.
   std::size_t tune_trials = 8;
-
-  /// Wall-clock budget (ms) for that search; 0 = trials-only.  A wall
-  /// budget is inherently timing-dependent, so seeded-determinism
-  /// guarantees hold only under a pure trial budget.
   std::uint64_t tune_budget_ms = 0;
-
-  /// Scenario-family label for the tuning fingerprint ("" = derived from
-  /// the deployment's dimension / channel / prototile shape).  The batch
-  /// service stamps the scenario name here so sweeps of the same family
-  /// share tuned configs.
   std::string tune_family;
 };
 
@@ -181,10 +160,15 @@ struct PlanResult {
   bool verified = false;
   CollisionReport report;
 
-  /// Paper's lower bound max_k |N_k| on any collision-free periodic
-  /// schedule of a window containing a full tile (Theorems 1/2).
+  /// Lower bound on the slot count of any collision-free schedule of
+  /// this deployment: the largest coverage multiplicity, i.e. over all
+  /// points, the most sensors whose coverage contains that point.  Those
+  /// sensors pairwise conflict, so they form a clique.  It equals the
+  /// paper's max_k |N_k| on every window holding a full tile
+  /// (Theorems 1/2) and drops below it on sparse deployments.
   std::uint32_t lower_bound = 0;
-  /// slots.period / lower_bound; 1.0 = provably optimal slot count.
+  /// effective period / ceil(lower_bound / channels); 1.0 = provably
+  /// optimal slot count.
   double optimality_gap = 0.0;
 
   /// min/max sensors per slot over the deployment, as in
@@ -211,15 +195,6 @@ struct PlanResult {
   /// The mobile backend's location scheduler, ready to drive a
   /// MobileSimulator — no consumer rebuilds it from `tiling` by hand.
   std::shared_ptr<const MobileScheduler> mobile;
-
-  /// Auto-backend provenance: "" for ordinary backends, "cache-hit" when
-  /// the tuned config came straight from the TuneCache, "searched" when a
-  /// bounded tuning run picked it.
-  std::string tuned;
-
-  /// Serialized TunedConfig the auto backend delegated with
-  /// (tune/knob_space.hpp; e.g. "backend=tiling;node_limit=20000000").
-  std::string tuned_config;
 
   /// Slot period actually deployed: the folded multichannel period when
   /// channels were requested, the plain slot period otherwise.
@@ -260,17 +235,13 @@ class Planner {
   /// backend asks for it.
   virtual bool wants_region_shard() const { return false; }
 
-  /// Whether plan_all's default "all backends" selection includes this
-  /// backend.  The `auto` meta-backend opts out: it delegates to another
-  /// registered backend, so an "all" sweep running it too would plan the
-  /// winning backend twice.  Explicitly naming it always works.
-  virtual bool in_default_set() const { return true; }
+  /// Always true: every registered backend is in plan_all's default
+  /// "all backends" selection.  Kept for existing callers.
+  bool in_default_set() const { return true; }
 
   /// Full pipeline: compute slots, verify, attach diagnostics.  Never
   /// throws for backend-level failures — those come back as ok == false.
-  /// Virtual so meta-backends (the `auto` tuner) can wrap a delegate's
-  /// full pipeline instead of contributing a compute() step.
-  virtual PlanResult plan(const PlanRequest& request) const;
+  PlanResult plan(const PlanRequest& request) const;
 
  protected:
   struct Raw {

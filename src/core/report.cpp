@@ -30,7 +30,7 @@ std::string format_double_exact(double v) {
 constexpr const char* kCsvHeader =
     "scenario,step,backend,ok,sensors,period,lower_bound,optimality_gap,"
     "collision_free,verified,slot_balance,duty_cycle,wall_ms,channels,"
-    "effective_period,tuned,tuned_config,error";
+    "effective_period,error";
 
 void emit_csv_row(std::ostream& os, const PlanResultRow& row) {
   os << row.scenario << ',' << row.step << ',' << row.backend << ','
@@ -41,8 +41,7 @@ void emit_csv_row(std::ostream& os, const PlanResultRow& row) {
      << ',' << format_double(row.slot_balance) << ','
      << format_double(row.duty_cycle) << ','
      << format_double(row.wall_ms) << ',' << row.channels << ','
-     << row.effective_period << ',' << row.tuned << ','
-     << row.tuned_config << ',' << '"' << row.error << '"' << '\n';
+     << row.effective_period << ',' << '"' << row.error << '"' << '\n';
 }
 
 void emit_json_object(std::ostream& os, const PlanResultRow& row,
@@ -61,20 +60,18 @@ void emit_json_object(std::ostream& os, const PlanResultRow& row,
      << ", \"wall_ms\": " << format_double(row.wall_ms)
      << ", \"channels\": " << row.channels
      << ", \"effective_period\": " << row.effective_period
-     << ", \"tuned\": \"" << json_escape(row.tuned)
-     << "\", \"tuned_config\": \"" << json_escape(row.tuned_config)
-     << "\", \"detail\": \"" << json_escape(row.detail) << "\", \"error\": \""
+     << ", \"detail\": \"" << json_escape(row.detail) << "\", \"error\": \""
      << json_escape(row.error) << "\"}";
 }
 
 // -- Minimal parsers for the exact formats emitted above ------------------
 
 std::vector<std::string> split_line(const std::string& line) {
-  // The only quoted field is the trailing `error`, so split the first 17
+  // The only quoted field is the trailing `error`, so split the first 15
   // commas and treat the rest as the error payload.
   std::vector<std::string> out;
   std::size_t pos = 0;
-  for (int field = 0; field < 17; ++field) {
+  for (int field = 0; field < 15; ++field) {
     const std::size_t comma = line.find(',', pos);
     if (comma == std::string::npos) {
       throw std::invalid_argument("plan-results CSV: short row: " + line);
@@ -109,8 +106,6 @@ PlanResultRow row_from_json_object(const std::string& obj) {
   row.channels = static_cast<std::uint32_t>(json_uint_field(obj, "channels"));
   row.effective_period =
       static_cast<std::uint32_t>(json_uint_field(obj, "effective_period"));
-  row.tuned = json_field(obj, "tuned");
-  row.tuned_config = json_field(obj, "tuned_config");
   row.detail = json_field(obj, "detail");
   row.error = json_field(obj, "error");
   return row;
@@ -136,8 +131,6 @@ PlanResultRow to_row(const PlanResult& result, const std::string& scenario,
   row.wall_ms = result.wall_seconds * 1e3;
   row.channels = result.channels;
   row.effective_period = result.effective_period();
-  row.tuned = result.tuned;
-  row.tuned_config = result.tuned_config;
   row.detail = result.detail;
   row.error = result.error;
   return row;
@@ -195,9 +188,7 @@ std::vector<PlanResultRow> parse_plan_results_csv(const std::string& csv) {
     row.wall_ms = std::stod(f[12]);
     row.channels = static_cast<std::uint32_t>(std::stoul(f[13]));
     row.effective_period = static_cast<std::uint32_t>(std::stoul(f[14]));
-    row.tuned = f[15];
-    row.tuned_config = f[16];
-    row.error = f[17];
+    row.error = f[15];
     rows.push_back(std::move(row));
   }
   return rows;
@@ -308,8 +299,6 @@ PlanResult result_from_row(const PlanResultRow& row) {
   result.duty_cycle = row.duty_cycle;
   result.wall_seconds = row.wall_ms / 1e3;
   result.channels = row.channels;
-  result.tuned = row.tuned;
-  result.tuned_config = row.tuned_config;
   result.slots.period = row.period;
   // The row stores the sensor count as the slot-table size; a
   // placeholder table keeps that invariant without shipping the slots.
@@ -440,9 +429,7 @@ std::string batch_items_to_json(const std::vector<BatchItem>& items) {
        << format_double_exact(item.sa.initial_temperature)
        << ", \"sa_cooling\": " << format_double_exact(item.sa.cooling)
        << ", \"sa_seed\": " << item.sa.seed
-       << ", \"sa_restarts\": " << item.sa.restarts
-       << ", \"tune_trials\": " << item.tune_trials
-       << ", \"tune_budget_ms\": " << item.tune_budget_ms << "}"
+       << ", \"sa_restarts\": " << item.sa.restarts << "}"
        << (i + 1 < items.size() ? "," : "") << '\n';
   }
   os << "]\n";
@@ -483,11 +470,6 @@ std::vector<BatchItem> parse_batch_items_json(const std::string& json) {
     item.sa.cooling = std::stod(json_field(line, "sa_cooling"));
     item.sa.seed = json_uint_field(line, "sa_seed");
     item.sa.restarts = json_uint_field(line, "sa_restarts");
-    // Optional (absent in pre-v7 payloads): auto-backend tuning budgets.
-    if (line.find("\"tune_trials\": ") != std::string::npos) {
-      item.tune_trials = json_uint_field(line, "tune_trials");
-      item.tune_budget_ms = json_uint_field(line, "tune_budget_ms");
-    }
     items.push_back(std::move(item));
   }
   return items;

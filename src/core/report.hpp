@@ -51,11 +51,6 @@ struct PlanResultRow {
   double wall_ms = 0.0;
   std::uint32_t channels = 1;
   std::uint32_t effective_period = 0;  ///< folded period (== period at c=1)
-  /// Auto-backend provenance ("" / "cache-hit" / "searched") and the
-  /// serialized TunedConfig it delegated with (PlanResult::{tuned,
-  /// tuned_config}; both token-safe, so they sit unquoted in the CSV).
-  std::string tuned;
-  std::string tuned_config;
   std::string detail;                  ///< JSON only (CSV omits it)
   std::string error;
 };

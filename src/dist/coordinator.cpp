@@ -408,7 +408,6 @@ BatchReport ShardCoordinator::run(const std::vector<BatchItem>& items) {
     PlanService fallback;
     if (!config_.cache_dir.empty()) {
       fallback.tiling_cache().set_persist_dir(config_.cache_dir);
-      fallback.tune_cache().set_persist_dir(config_.cache_dir);
     }
     const BatchReport sub_report = fallback.run(sub);
     merged += sub_report;

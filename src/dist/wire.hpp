@@ -55,7 +55,12 @@ namespace latticesched::dist {
 /// fields of the CLOSE body are gone (the torus search is serial per
 /// torus and has one mask kernel) — a v8 client would reject a v9
 /// CLOSE body that lacks them.
-inline constexpr int kProtocolVersion = 9;
+/// v10: the auto backend and its tuning layer are gone — batch items
+/// lost "tune_trials"/"tune_budget_ms", report rows the
+/// "tuned"/"tuned_config" columns, batch reports the "tuning" footer
+/// line and the CLOSE body its tune_* fields.  A v9 peer would reject
+/// a v10 CLOSE body that lacks them.
+inline constexpr int kProtocolVersion = 10;
 
 /// Frames larger than this are a protocol error, not an allocation —
 /// guards the reader against garbage length prefixes.

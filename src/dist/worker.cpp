@@ -97,7 +97,6 @@ int run_worker(int fd, const WorkerOptions& options) {
   if (!options.cache_dir.empty()) {
     try {
       service.tiling_cache().set_persist_dir(options.cache_dir);
-      service.tune_cache().set_persist_dir(options.cache_dir);
     } catch (const std::exception& e) {
       (void)write_frame(fd, {"ERROR", e.what()});
       return 1;

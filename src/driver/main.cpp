@@ -67,8 +67,6 @@
 #include "dist/worker.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
-#include "tune/knob_space.hpp"
-#include "tune/tune_cache.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -261,13 +259,6 @@ int run(int argc, char** argv) {
   cli.add_flag("seed", "1", "seed for randomized scenarios");
   cli.add_flag("channels", "2", "channels for the multichannel scenario");
   cli.add_flag("sa-iters", "60000", "annealing iteration budget");
-  cli.add_int_flag("tune-trials", 8, 0,
-                   "trial budget per tuning search of the 'auto' backend "
-                   "(0 = defaults only)");
-  cli.add_int_flag("tune-budget-ms", 0, 0,
-                   "wall-clock budget per tuning search of the 'auto' "
-                   "backend (0 = unbounded; bounded runs are not "
-                   "deterministic)");
   cli.add_flag("no-verify", "false", "skip the collision checker");
   cli.add_int_flag("workers", 1, 1,
                    "worker processes for the batch (1 = in-process; >= 2 "
@@ -327,23 +318,8 @@ int run(int argc, char** argv) {
     return 0;
   }
   if (cli.get_bool("list-backends")) {
-    // One line per backend, then its tunable knobs (the same registry
-    // the auto backend searches) with defaults and ranges.
-    const auto print_knobs = [](const std::vector<tune::KnobSpec>& knobs) {
-      for (const tune::KnobSpec& k : knobs) {
-        std::printf("    %-32s default %-12g range [%g, %g]  %s\n",
-                    k.name.c_str(), k.def, k.min, k.max, k.doc.c_str());
-      }
-    };
     for (const std::string& name : PlannerRegistry::global().names()) {
       std::printf("%s\n", name.c_str());
-      print_knobs(tune::KnobSpace::global().knobs_for(name));
-    }
-    const std::vector<tune::KnobSpec> session_knobs =
-        tune::KnobSpace::global().knobs_for("");
-    if (!session_knobs.empty()) {
-      std::printf("(session-level)\n");
-      print_knobs(session_knobs);
     }
     return 0;
   }
@@ -482,10 +458,6 @@ int run(int argc, char** argv) {
             item.region_halo = cli.get_int("region-halo");
             item.sa.max_iters =
                 static_cast<std::uint64_t>(cli.get_int("sa-iters"));
-            item.tune_trials =
-                static_cast<std::size_t>(cli.get_int("tune-trials"));
-            item.tune_budget_ms =
-                static_cast<std::uint64_t>(cli.get_int("tune-budget-ms"));
             item.verify = !cli.get_bool("no-verify");
             items.push_back(std::move(item));
           }
@@ -544,7 +516,6 @@ int run(int argc, char** argv) {
     } else {
       if (!cache_dir.empty()) {
         service.tiling_cache().set_persist_dir(cache_dir);
-        service.tune_cache().set_persist_dir(cache_dir);
       }
       // Chaos testing of the serial path too: cache faults apply to the
       // in-process cache exactly as they do inside a worker.
@@ -616,11 +587,6 @@ int run(int argc, char** argv) {
       for (std::size_t w = 0; w < coordinator->worker_stats().size(); ++w) {
         const dist::WorkerCacheStats& s = coordinator->worker_stats()[w];
         std::string notes;
-        if (s.tune_hits + s.tune_misses + s.tune_searches +
-                s.tune_trials_run > 0) {
-          notes += ", " + std::to_string(s.tune_hits) + " tune hit(s), " +
-                   std::to_string(s.tune_searches) + " tune search(es)";
-        }
         if (s.respawns > 0) {
           notes += ", " + std::to_string(s.respawns) + " respawn(s)";
         }
@@ -651,30 +617,6 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(s.hits),
                    static_cast<unsigned long long>(s.disk_hits),
                    static_cast<unsigned long long>(s.misses), s.entries);
-    }
-    // Tune footer; silent when the batch never touched the auto backend.
-    if (!client.has_value() && !coordinator.has_value()) {
-      const tune::TuneCache::Stats t = service.tune_cache().stats();
-      if (t.hits + t.misses + t.searches + t.trials > 0) {
-        std::fprintf(out,
-                     "tune-stats: %llu hit(s) (%llu from disk), %llu "
-                     "miss(es), %llu search(es), %llu trial(s), %zu "
-                     "entrie(s)\n",
-                     static_cast<unsigned long long>(t.hits),
-                     static_cast<unsigned long long>(t.disk_hits),
-                     static_cast<unsigned long long>(t.misses),
-                     static_cast<unsigned long long>(t.searches),
-                     static_cast<unsigned long long>(t.trials), t.entries);
-      }
-    } else if (report.tune_hits + report.tune_misses + report.tune_searches +
-                   report.tune_trials_run > 0) {
-      std::fprintf(out,
-                   "tune-stats: %llu hit(s), %llu miss(es), %llu "
-                   "search(es), %llu trial(s)\n",
-                   static_cast<unsigned long long>(report.tune_hits),
-                   static_cast<unsigned long long>(report.tune_misses),
-                   static_cast<unsigned long long>(report.tune_searches),
-                   static_cast<unsigned long long>(report.tune_trials_run));
     }
     if (report.regions > 0) {
       std::fprintf(out,

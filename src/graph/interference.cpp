@@ -56,6 +56,48 @@ std::optional<PointIndexer> dense_coverage_hull(
   return PointIndexer::for_box(Box(lo, hi));
 }
 
+std::uint32_t coverage_multiplicity(const Deployment& d) {
+  // A point p is covered only by sensors at p - a for offsets a of some
+  // prototile, and positions are unique, so no count exceeds the size of
+  // the prototiles' union.  The scan stops once a point reaches it,
+  // which a full window does within its first few rows.
+  PointVec offsets;
+  for (const Prototile& n : d.prototiles()) {
+    offsets.insert(offsets.end(), n.points().begin(), n.points().end());
+  }
+  const std::size_t cap = sorted_unique(std::move(offsets)).size();
+  std::uint32_t best = 0;
+  const auto& grid = d.coverage_grid();
+  if (grid.has_value()) {
+    // Grid ids are linear in the coordinates, so a prototile element
+    // moves every sensor's cell id by one fixed shift per type, taken
+    // from the first sensor of that type (whose coverage the grid holds).
+    std::vector<std::vector<std::int64_t>> shifts(d.prototiles().size());
+    std::vector<std::uint32_t> count(grid->size(), 0);
+    for (std::uint32_t i = 0; i < d.size() && best < cap; ++i) {
+      const Point& pos = d.position(i);
+      const std::int64_t base = grid->id_of(pos);
+      std::vector<std::int64_t>& shift = shifts[d.type_of(i)];
+      if (shift.empty()) {
+        for (const Point& n : d.neighborhood_of(i).points()) {
+          shift.push_back(std::int64_t{grid->id_of(pos + n)} - base);
+        }
+      }
+      for (const std::int64_t s : shift) {
+        best = std::max(best, ++count[static_cast<std::size_t>(base + s)]);
+      }
+    }
+    return best;
+  }
+  PointMap<std::uint32_t> count;
+  for (std::size_t i = 0; i < d.size() && best < cap; ++i) {
+    for (const Point& p : d.coverage_of(i)) {
+      best = std::max(best, ++count[p]);
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 Deployment::Deployment(PointVec positions, std::vector<std::uint32_t> types,
@@ -88,6 +130,7 @@ Deployment::Deployment(PointVec positions, std::vector<std::uint32_t> types,
       throw std::invalid_argument("Deployment: duplicate sensor position");
     }
   }
+  multiplicity_ = coverage_multiplicity(*this);
 }
 
 Deployment Deployment::uniform(PointVec positions, Prototile n) {

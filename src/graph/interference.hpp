@@ -80,6 +80,14 @@ class Deployment {
   /// by sensor_at, the collision checker and the conflict-graph builder.
   const std::optional<PointIndexer>& coverage_grid() const { return grid_; }
 
+  /// Largest coverage multiplicity: over all points, the most sensors
+  /// whose coverage contains that point (0 for an empty deployment).
+  /// Those sensors pairwise conflict, so the count is a clique size and
+  /// a lower bound on the slot count of every collision-free schedule.
+  /// Computed once at construction, in one pass over the coverage ids on
+  /// the coverage grid (a PointMap on scattered hulls).
+  std::uint32_t max_coverage_multiplicity() const { return multiplicity_; }
+
  private:
   Deployment(PointVec positions, std::vector<std::uint32_t> types,
              std::vector<Prototile> prototiles);
@@ -92,6 +100,7 @@ class Deployment {
   std::vector<std::uint32_t> sensor_of_cell_;
   /// Scattered hull only: position -> sensor id.
   PointMap<std::uint32_t> index_of_position_;
+  std::uint32_t multiplicity_ = 0;
 };
 
 /// Coverage lists of every sensor as grid ids in one CSR buffer: row i

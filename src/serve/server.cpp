@@ -95,7 +95,7 @@ struct PlanServer::WireSession {
   WireMessage last_delta_ok;
   WireMessage open_ok;  ///< replayed on an idempotent re-OPEN
 
-  /// This session's share of the shared cache and tune traffic
+  /// This session's share of the shared cache traffic
   /// (before/after snapshots around its replans; approximate under
   /// concurrency).
   PlanCounters traffic;
@@ -110,7 +110,6 @@ PlanServer::PlanServer(ServerConfig config) : config_(std::move(config)) {
   }
   if (!config_.cache_dir.empty()) {
     service_.tiling_cache().set_persist_dir(config_.cache_dir);
-    service_.tune_cache().set_persist_dir(config_.cache_dir);
   }
   if (fault_plan_.has_cache_faults()) {
     service_.tiling_cache().set_write_corruption_hook(
@@ -408,13 +407,9 @@ void PlanServer::handle_replan(Connection& conn, const std::string& body) {
   const std::shared_ptr<WireSession> ws = find_session(first, &id);
 
   std::lock_guard<std::mutex> lock(ws->mu);
-  const auto snapshot = [this] {
-    return CounterSnapshot{service_.tiling_cache().stats(),
-                           service_.tune_cache().stats()};
-  };
-  const CounterSnapshot before = snapshot();
+  const TilingCache::Stats before = service_.tiling_cache().stats();
   const std::vector<PlanResult> results = ws->session->replan();
-  ws->traffic += counters_between(before, snapshot());
+  ws->traffic += counters_between(before, service_.tiling_cache().stats());
 
   std::ostringstream os;
   os << id << "\n{\"session\": " << id << ", \"step\": " << ws->last_step

@@ -44,8 +44,8 @@
 //              EVENT stream.  -> OK "<id>\n{"session": id,
 //              "subscribed": true}"
 //   CLOSE      "<id>".  Ends the session and returns its stats.
-//              -> OK "<id>\n" + session_stats_to_json (v8 added the
-//              tune counters)
+//              -> OK "<id>\n" + session_stats_to_json (every
+//              PlanCounters field plus the session's reuse counts)
 //   PING       -> PONG (liveness; not counted by the fault injector)
 //   SHUTDOWN   closes this connection (sessions survive)
 //
@@ -83,7 +83,7 @@ namespace latticesched::serve {
 
 /// Per-session accounting returned by CLOSE: the PlanSession's
 /// incremental-reuse and region counters plus this session's share of
-/// the shared TilingCache and TuneCache traffic.  That share is a
+/// the shared TilingCache traffic.  That share is a
 /// before/after snapshot around each of the session's replans — exact
 /// for a lone client, approximate (attribution may smear between
 /// sessions, totals stay exact) when sessions plan concurrently.

@@ -1,15 +1,13 @@
-// Shared persist-file machinery for on-disk cache entries.
+// Persist-file machinery for on-disk cache entries.
 //
-// Two subsystems persist versioned text entries into a --cache-dir —
-// the TilingCache (core/tiling_cache.hpp, tc_*.entry) and the
-// TuneCache (tune/tune_cache.hpp, tn_*.entry) — and both need the same
-// durability story: a magic + version header line, a body terminated
-// by an "end" line, a trailing "checksum <fnv64hex>" line over the
-// body, an atomic publish (temp file + write + fsync + rename), and
-// corrupt-tolerant loading that can tell "missing" from "stale
-// version" from "corrupt".  These helpers are that story, factored out
-// so the two entry formats cannot drift apart in their framing (the
-// bodies stay format-specific; only the envelope is shared).
+// The TilingCache (core/tiling_cache.hpp, tc_*.entry) persists
+// versioned text entries into a --cache-dir with this durability
+// story: a magic + version header line, a body terminated by an "end"
+// line, a trailing "checksum <fnv64hex>" line over the body, an atomic
+// publish (temp file + write + fsync + rename), and corrupt-tolerant
+// loading that can tell "missing" from "stale version" from "corrupt".
+// These helpers are the envelope; the entry body format stays with
+// the cache.
 #pragma once
 
 #include <cstdint>

@@ -3,15 +3,16 @@
 // currency and the report emitters.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <utility>
 
 #include "core/mobile.hpp"
+#include "core/plan_service.hpp"
 #include "core/planner.hpp"
 #include "core/report.hpp"
 #include "core/tiling_cache.hpp"
 #include "tiling/shapes.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace latticesched {
 namespace {
@@ -23,16 +24,15 @@ const Deployment& small_grid() {
 }
 
 TEST(Planner, RegistryListsBuiltinBackends) {
-  const auto names = PlannerRegistry::global().names();
   const std::vector<std::string> expected = {
-      "tiling", "greedy",    "welsh-powell", "dsatur",
-      "annealing", "tdma", "mobile"};
+      "tiling",    "greedy",        "welsh-powell", "dsatur",
+      "annealing", "region-greedy", "tdma",         "mobile"};
+  EXPECT_EQ(PlannerRegistry::global().names(), expected);
   for (const std::string& name : expected) {
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
-        << name;
     EXPECT_NE(PlannerRegistry::global().find(name), nullptr) << name;
   }
   EXPECT_EQ(PlannerRegistry::global().find("no-such-backend"), nullptr);
+  EXPECT_EQ(PlannerRegistry::global().find("auto"), nullptr);
 }
 
 TEST(Planner, TilingBackendIsOptimalOnGrid) {
@@ -59,6 +59,108 @@ TEST(Planner, TilingBackendIsOptimalOnGrid) {
   EXPECT_DOUBLE_EQ(r.duty_cycle, 1.0 / 9.0);
   ASSERT_TRUE(r.tiling.has_value());
   EXPECT_GT(r.wall_seconds, 0.0);
+}
+
+TEST(Planner, LowerBoundIsTheLargestCoverageMultiplicity) {
+  // Three sensors around (0, 0) share the cells of their 3x3 balls; the
+  // fourth sits alone.  The most sensors covering one point is 3, so no
+  // schedule needs |N| = 9 slots here.  The far sensor makes the hull
+  // too scattered for the dense grid, so this pins the PointMap path.
+  const Prototile ball = shapes::chebyshev_ball(2, 1);
+  const PointVec positions = {Point{0, 0}, Point{1, 0}, Point{0, 1},
+                              Point{1 << 20, 1 << 20}};
+  const Deployment scattered = Deployment::uniform(positions, ball);
+  ASSERT_FALSE(scattered.coverage_grid().has_value());
+  EXPECT_EQ(scattered.max_coverage_multiplicity(), 3u);
+
+  // The same cluster with a near neighbor stays on the dense grid.
+  const Deployment dense = Deployment::uniform(
+      {Point{0, 0}, Point{1, 0}, Point{0, 1}, Point{4, 4}}, ball);
+  ASSERT_TRUE(dense.coverage_grid().has_value());
+  EXPECT_EQ(dense.max_coverage_multiplicity(), 3u);
+
+  PlanRequest request;
+  request.deployment = &dense;
+  const PlanResult r =
+      PlannerRegistry::global().find("greedy")->plan(request);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.collision_free);
+  EXPECT_EQ(r.lower_bound, 3u);
+  EXPECT_EQ(r.slots.period, 3u);
+  EXPECT_DOUBLE_EQ(r.optimality_gap, 1.0);
+
+  // Two channels: the gap is judged against ceil(3 / 2) = 2 slots.
+  request.channels = 2;
+  const PlanResult folded =
+      PlannerRegistry::global().find("greedy")->plan(request);
+  ASSERT_TRUE(folded.ok) << folded.error;
+  EXPECT_EQ(folded.lower_bound, 3u);
+  EXPECT_EQ(folded.effective_period(), 2u);
+  EXPECT_DOUBLE_EQ(folded.optimality_gap, 1.0);
+
+  EXPECT_EQ(Deployment::uniform({}, ball).max_coverage_multiplicity(), 0u);
+
+  // Mixed prototiles on random scatters: the dense grid's per-type id
+  // shifts agree with the PointMap count, which one far sensor forces.
+  const std::vector<Prototile> tiles = {ball, shapes::l1_ball(2, 2)};
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    PointSet seen;
+    PointVec near;
+    std::vector<std::uint32_t> types;
+    while (near.size() < 30) {
+      const Point p{rng.next_int(0, 9), rng.next_int(0, 9)};
+      if (!seen.insert(p).second) continue;
+      near.push_back(p);
+      types.push_back(static_cast<std::uint32_t>(rng.next_below(2)));
+    }
+    PointVec far = near;
+    far.push_back(Point{1 << 20, 1 << 20});
+    std::vector<std::uint32_t> far_types = types;
+    far_types.push_back(0);
+    const Deployment a = Deployment::assemble(near, types, tiles);
+    const Deployment b = Deployment::assemble(far, far_types, tiles);
+    ASSERT_TRUE(a.coverage_grid().has_value());
+    ASSERT_FALSE(b.coverage_grid().has_value());
+    EXPECT_EQ(a.max_coverage_multiplicity(), b.max_coverage_multiplicity())
+        << "trial " << trial;
+  }
+}
+
+TEST(Planner, NoRegistryRowBeatsItsLowerBound) {
+  // Every ok row of the driver's `--scenario all` sweep (its seed,
+  // channel and annealing defaults) at n=24 r=1 and n=16 r=2: a
+  // collision-free schedule never uses fewer slots than a clique.
+  for (const auto& [n, radius] : {std::pair{24, 1}, std::pair{16, 2}}) {
+    ScenarioParams params;
+    params.n = n;
+    params.radius = radius;
+    params.channels = 2;
+    PlanService service;
+    std::vector<BatchItem> items = service.registry_batch(params);
+    for (BatchItem& item : items) item.sa.max_iters = 60'000;
+    const BatchReport report = service.run(items);
+    std::size_t rows = 0;
+    for (const BatchItemReport& item : report.items) {
+      ASSERT_TRUE(item.built) << item.scenario << ": " << item.error;
+      std::vector<const std::vector<PlanResult>*> steps;
+      for (const BatchStepReport& step : item.steps) {
+        steps.push_back(&step.results);
+      }
+      if (steps.empty()) steps.push_back(&item.results);
+      for (const std::vector<PlanResult>* results : steps) {
+        for (const PlanResult& r : *results) {
+          if (!r.ok) continue;
+          ++rows;
+          EXPECT_TRUE(r.collision_free) << item.label << " " << r.backend;
+          EXPECT_GE(r.optimality_gap, 1.0)
+              << item.label << " " << r.backend << ": period "
+              << r.effective_period() << ", bound " << r.lower_bound;
+        }
+      }
+    }
+    EXPECT_GT(rows, 100u) << "n=" << n << " r=" << radius;
+  }
 }
 
 TEST(Planner, TdmaBackendUsesOneSlotPerSensor) {
@@ -111,6 +213,9 @@ TEST(Planner, PlanAllRejectsUnknownBackendAndNullDeployment) {
   PlanRequest request;
   request.deployment = &small_grid();
   EXPECT_THROW(PlannerRegistry::global().plan_all(request, {"nope"}),
+               std::invalid_argument);
+  // "auto" is not a registered backend.
+  EXPECT_THROW(PlannerRegistry::global().plan_all(request, {"auto"}),
                std::invalid_argument);
   PlanRequest empty;
   EXPECT_THROW(PlannerRegistry::global().plan_all(empty),

@@ -147,10 +147,6 @@ TEST(ReportSerialization, UnverifiedRowsReportNoCollisionVerdict) {
 const std::pair<const char*, std::uint64_t PlanCounters::*> kCounts[] = {
     {"cache_hits", &PlanCounters::cache_hits},
     {"cache_misses", &PlanCounters::cache_misses},
-    {"tune_hits", &PlanCounters::tune_hits},
-    {"tune_misses", &PlanCounters::tune_misses},
-    {"tune_searches", &PlanCounters::tune_searches},
-    {"tune_trials_run", &PlanCounters::tune_trials_run},
     {"regions", &PlanCounters::regions},
     {"seam_sensors", &PlanCounters::seam_sensors},
     {"stitch_recolored", &PlanCounters::stitch_recolored},

@@ -324,14 +324,16 @@ TEST(PlanServe, DuplicateDeltaSeqReplaysInsteadOfDoubleApplying) {
   server.stop();
 }
 
-TEST(PlanServe, ConnectRunKeepsTheTuneCounters) {
-  // The CLOSE body carries every PlanCounters field, so a remote run of
-  // the auto backend reports the same tuner work as an in-process run.
+TEST(PlanServe, ConnectRunKeepsThePlanCounters) {
+  // The CLOSE body carries every PlanCounters field, so a remote run
+  // reports the same counters as an in-process run: a fresh service's
+  // tiling-cache misses and hits over a dynamic trace, and the region
+  // counters of its region-greedy replans.
   BatchItem item;
-  item.query.scenario = "grid";
+  item.query.scenario = "grid-failures";
   item.query.params.n = 8;
-  item.backends = {"auto"};
-  item.tune_trials = 3;
+  item.backends = {"tiling", "region-greedy"};
+  item.regions = 4;
 
   PlanServer server{ServerConfig{}};
   server.start();
@@ -343,12 +345,13 @@ TEST(PlanServe, ConnectRunKeepsTheTuneCounters) {
 
   PlanService service;
   const BatchReport local = service.run({item});
-  EXPECT_GT(local.tune_searches, 0u);
-  EXPECT_GT(local.tune_trials_run, 0u);
-  EXPECT_EQ(remote.tune_hits, local.tune_hits);
-  EXPECT_EQ(remote.tune_misses, local.tune_misses);
-  EXPECT_EQ(remote.tune_searches, local.tune_searches);
-  EXPECT_EQ(remote.tune_trials_run, local.tune_trials_run);
+  EXPECT_GT(local.cache_misses, 0u);
+  EXPECT_GT(local.regions, 0u);
+  EXPECT_EQ(remote.cache_hits, local.cache_hits);
+  EXPECT_EQ(remote.cache_misses, local.cache_misses);
+  EXPECT_EQ(remote.regions, local.regions);
+  EXPECT_EQ(remote.seam_sensors, local.seam_sensors);
+  EXPECT_EQ(remote.stitch_recolored, local.stitch_recolored);
 }
 
 TEST(PlanServe, StopIsGracefulAndIdempotent) {
