@@ -13,7 +13,8 @@ const char* to_string(ColoringHeuristic h) {
 }
 
 SensorSlots coloring_slots_on_graph(const Graph& g, ColoringHeuristic h,
-                                    const SaConfig& sa_config) {
+                                    const SaConfig& sa_config,
+                                    std::uint32_t lower_bound) {
   Coloring coloring;
   switch (h) {
     case ColoringHeuristic::kGreedy:
@@ -26,7 +27,7 @@ SensorSlots coloring_slots_on_graph(const Graph& g, ColoringHeuristic h,
       coloring = dsatur_coloring(g);
       break;
     case ColoringHeuristic::kAnnealing:
-      coloring = sa_min_coloring(g, sa_config).coloring;
+      coloring = sa_min_coloring(g, sa_config, lower_bound).coloring;
       break;
   }
   SensorSlots out;
@@ -38,7 +39,8 @@ SensorSlots coloring_slots_on_graph(const Graph& g, ColoringHeuristic h,
 
 SensorSlots coloring_slots(const Deployment& d, ColoringHeuristic h,
                            const SaConfig& sa_config) {
-  return coloring_slots_on_graph(build_conflict_graph(d), h, sa_config);
+  return coloring_slots_on_graph(build_conflict_graph(d), h, sa_config,
+                                 d.max_coverage_multiplicity());
 }
 
 }  // namespace latticesched

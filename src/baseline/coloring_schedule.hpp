@@ -22,13 +22,16 @@ enum class ColoringHeuristic {
 
 const char* to_string(ColoringHeuristic h);
 
-/// Colors the deployment's conflict graph with the chosen heuristic.
+/// Colors the deployment's conflict graph with the chosen heuristic;
+/// annealing stops at d.max_coverage_multiplicity().
 SensorSlots coloring_slots(const Deployment& d, ColoringHeuristic h,
                            const SaConfig& sa_config = {});
 
 /// Convenience: runs the heuristic on a prebuilt conflict graph (lets
-/// benchmarks reuse one graph across heuristics).
+/// benchmarks reuse one graph across heuristics).  `lower_bound` is
+/// handed to sa_min_coloring; it must lower-bound the chromatic number.
 SensorSlots coloring_slots_on_graph(const Graph& g, ColoringHeuristic h,
-                                    const SaConfig& sa_config = {});
+                                    const SaConfig& sa_config = {},
+                                    std::uint32_t lower_bound = 0);
 
 }  // namespace latticesched

@@ -53,7 +53,7 @@ CollisionReport check_collision_free(const Deployment& d,
   const auto& grid = d.coverage_grid();
   if (!grid.has_value()) return check_collision_free_reference(d, slots);
   CollisionReport report;
-  const CsrU32 cov = coverage_ids(d, *grid);
+  const CsrU32 cov = coverage_ids(d);
   const CsrU32 by_slot = sensors_by_slot(d, slots);
   // stamp[id] == s + 1 marks grid cell `id` as covered in slot s by
   // owner[id]; stamps from earlier slots are simply stale, so the two

@@ -103,7 +103,8 @@ DeploymentOptimum optimal_slots_for_deployment(
     const Deployment& d, const ExactColoringConfig& config) {
   DeploymentOptimum out;
   const Graph g = build_conflict_graph(d);
-  const ExactColoringResult ec = exact_chromatic(g, config);
+  const ExactColoringResult ec =
+      exact_chromatic(g, config, d.max_coverage_multiplicity());
   out.optimal_slots = ec.colors;
   out.proven = ec.proven_optimal;
   out.clique_lower_bound = ec.clique_lower_bound;

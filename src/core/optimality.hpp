@@ -59,6 +59,8 @@ TilingOptimum optimal_slots_for_tiling(
 struct DeploymentOptimum {
   std::uint32_t optimal_slots = 0;  ///< χ(conflict graph) (or best found)
   bool proven = false;
+  /// max(greedy clique of the conflict graph, max_k |N_k| as
+  /// Deployment::max_coverage_multiplicity()); the search stops there.
   std::uint32_t clique_lower_bound = 0;
 };
 

@@ -139,7 +139,8 @@ class ColoringPlanner final : public Planner {
       raw.slots.source = std::string("coloring-") + to_string(heuristic_);
     } else if (request.conflict_graph != nullptr) {
       raw.slots = coloring_slots_on_graph(*request.conflict_graph,
-                                          heuristic_, request.sa);
+                                          heuristic_, request.sa,
+                                          d.max_coverage_multiplicity());
     } else {
       raw.slots = coloring_slots(d, heuristic_, request.sa);
     }

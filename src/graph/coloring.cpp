@@ -1,9 +1,9 @@
 #include "graph/coloring.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <queue>
-#include <set>
 #include <stdexcept>
 
 namespace latticesched {
@@ -157,29 +157,70 @@ Coloring welsh_powell_coloring(const Graph& g) {
 }
 
 Coloring dsatur_coloring(const Graph& g) {
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
   const std::size_t n = g.size();
-  Coloring colors(n, kNone);
-  std::vector<std::set<std::uint32_t>> sat(n);
-  std::vector<bool> done(n, false);
-  for (std::size_t step = 0; step < n; ++step) {
-    // Vertex with maximal saturation; ties by degree, then index.
-    std::uint32_t pick = 0;
-    bool found = false;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (done[v]) continue;
-      if (!found || sat[v].size() > sat[pick].size() ||
-          (sat[v].size() == sat[pick].size() &&
-           g.degree(v) > g.degree(pick))) {
-        pick = v;
-        found = true;
-      }
+  Coloring colors(n, kUncolored);
+  // Colors never exceed max_degree, so each vertex's seen neighbor
+  // colors fit one flat bit row of `words` 64-bit words.
+  const std::size_t words = g.max_degree() / 64 + 1;
+  std::vector<std::uint64_t> seen(n * words, 0);
+  // Ranking vertices by (degree desc, index asc) folds the tie-break
+  // into one key, saturation << 32 | ~rank: the largest key is the first
+  // vertex of maximal (saturation, degree) in index order.
+  std::vector<std::uint32_t> by_rank(n);
+  std::iota(by_rank.begin(), by_rank.end(), 0);
+  std::stable_sort(by_rank.begin(), by_rank.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return g.degree(a) > g.degree(b);
+                   });
+  constexpr std::uint32_t kRankMask = 0xFFFFFFFFu;
+  const auto rank_of = [](std::uint64_t key) {
+    return kRankMask - static_cast<std::uint32_t>(key);
+  };
+  // Indexed max-heap over the uncolored vertices' keys; slot[r] is the
+  // heap position of rank r.  In rank order the initial keys (all
+  // saturation 0) are already a heap.
+  std::vector<std::uint64_t> heap(n);
+  std::vector<std::uint32_t> slot(n), rank(n);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    heap[r] = kRankMask - r;
+    slot[r] = r;
+    rank[by_rank[r]] = r;
+  }
+  const auto place = [&](std::size_t i, std::uint64_t key) {
+    heap[i] = key;
+    slot[rank_of(key)] = static_cast<std::uint32_t>(i);
+  };
+  for (std::size_t size = n; size > 0;) {
+    const std::uint32_t pick = by_rank[rank_of(heap[0])];
+    // Pop the root: sift the last key down from the top.
+    const std::uint64_t last = heap[--size];
+    std::size_t i = 0;
+    for (std::size_t child; (child = 2 * i + 1) < size; i = child) {
+      if (child + 1 < size && heap[child + 1] > heap[child]) ++child;
+      if (heap[child] <= last) break;
+      place(i, heap[child]);
     }
-    std::uint32_t c = 0;
-    while (sat[pick].count(c) != 0) ++c;
+    if (size > 0) place(i, last);
+
+    const std::uint64_t* row = &seen[pick * words];
+    std::size_t w = 0;
+    while (row[w] == ~std::uint64_t{0}) ++w;
+    const auto c =
+        static_cast<std::uint32_t>(w * 64 + std::countr_one(row[w]));
     colors[pick] = c;
-    done[pick] = true;
-    for (std::uint32_t w : g.neighbors(pick)) sat[w].insert(c);
+    const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+    for (std::uint32_t v : g.neighbors(pick)) {
+      std::uint64_t& cell = seen[v * words + c / 64];
+      if (colors[v] != kUncolored || (cell & bit) != 0) continue;
+      cell |= bit;
+      // Saturation rise: bump v's key and sift it up.
+      std::size_t j = slot[rank[v]];
+      const std::uint64_t key = heap[j] + (std::uint64_t{1} << 32);
+      for (; j > 0 && heap[(j - 1) / 2] < key; j = (j - 1) / 2) {
+        place(j, heap[(j - 1) / 2]);
+      }
+      place(j, key);
+    }
   }
   return colors;
 }
@@ -263,21 +304,16 @@ struct BnbState {
 }  // namespace
 
 ExactColoringResult exact_chromatic(const Graph& g,
-                                    const ExactColoringConfig& config) {
+                                    const ExactColoringConfig& config,
+                                    std::uint32_t lower_bound) {
   ExactColoringResult out;
-  const auto clique = g.greedy_clique();
-  out.clique_lower_bound = static_cast<std::uint32_t>(clique.size());
+  out.clique_lower_bound = std::max(
+      static_cast<std::uint32_t>(g.greedy_clique().size()), lower_bound);
   if (g.size() == 0) {
     out.proven_optimal = true;
     return out;
   }
   Coloring heuristic = dsatur_coloring(g);
-  std::uint32_t ub = color_count(heuristic);
-  if (config.upper_bound_hint < ub) {
-    // A hint only helps pruning; the heuristic coloring remains the
-    // incumbent since the hint carries no explicit assignment.
-    ub = std::max(config.upper_bound_hint, out.clique_lower_bound);
-  }
 
   BnbState st;
   st.g = &g;

@@ -69,16 +69,16 @@ Coloring incremental_greedy_coloring(std::size_t n,
 Coloring welsh_powell_coloring(const Graph& g);
 
 /// DSATUR (Brélaz): repeatedly color the vertex with the highest
-/// saturation (distinct neighbor colors), breaking ties by degree.
+/// saturation (distinct neighbor colors), breaking ties by degree, then
+/// by lowest index.  O((n + m) log n) time over an indexed max-heap of
+/// the uncolored vertices, plus one (max_degree + 1)-bit row of seen
+/// colors per vertex.
 Coloring dsatur_coloring(const Graph& g);
 
 struct ExactColoringConfig {
   /// Branch-and-bound node budget; when exceeded the result is the best
   /// coloring found with `proven_optimal == false`.
   std::uint64_t node_limit = 5'000'000;
-  /// Optional known upper bound (e.g. from a constructive schedule).
-  std::uint32_t upper_bound_hint =
-      std::numeric_limits<std::uint32_t>::max();
 };
 
 struct ExactColoringResult {
@@ -86,13 +86,19 @@ struct ExactColoringResult {
   std::uint32_t colors = 0;
   bool proven_optimal = false;
   std::uint64_t nodes = 0;
+  /// The bound the search stopped at: the larger of a greedily grown
+  /// clique's size and the caller's `lower_bound`.
   std::uint32_t clique_lower_bound = 0;
 };
 
-/// Exact chromatic number via DSATUR-ordered branch and bound with a
-/// greedy-clique lower bound.  Complete for small graphs; degrades to the
+/// Exact chromatic number via DSATUR-ordered branch and bound.  The
+/// search ends as soon as a coloring meets max(greedy clique size,
+/// `lower_bound`); `lower_bound` must be a valid lower bound on the
+/// chromatic number (e.g. Deployment::max_coverage_multiplicity() for a
+/// conflict graph).  Complete for small graphs; degrades to the
 /// best-found coloring under the node budget.
 ExactColoringResult exact_chromatic(const Graph& g,
-                                    const ExactColoringConfig& config = {});
+                                    const ExactColoringConfig& config = {},
+                                    std::uint32_t lower_bound = 0);
 
 }  // namespace latticesched

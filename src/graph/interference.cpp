@@ -56,6 +56,28 @@ std::optional<PointIndexer> dense_coverage_hull(
   return PointIndexer::for_box(Box(lo, hi));
 }
 
+/// Cell-id shifts of every prototile type on the dense coverage grid.
+/// Grid ids are linear in the coordinates and the grid holds every
+/// sensor's coverage, so element e of type t moves a sensor's cell id by
+/// shifts[t][e] wherever it sits; shifts are read off the first sensor
+/// of each type (empty for types no sensor uses).
+std::vector<std::vector<std::int64_t>> coverage_shifts(
+    const Deployment& d, const PointIndexer& grid) {
+  std::vector<std::vector<std::int64_t>> shifts(d.prototiles().size());
+  std::size_t missing = shifts.size();
+  for (std::uint32_t i = 0; i < d.size() && missing > 0; ++i) {
+    std::vector<std::int64_t>& shift = shifts[d.type_of(i)];
+    if (!shift.empty()) continue;
+    const Point& pos = d.position(i);
+    const std::int64_t base = grid.id_of(pos);
+    for (const Point& n : d.neighborhood_of(i).points()) {
+      shift.push_back(std::int64_t{grid.id_of(pos + n)} - base);
+    }
+    --missing;
+  }
+  return shifts;
+}
+
 std::uint32_t coverage_multiplicity(const Deployment& d) {
   // A point p is covered only by sensors at p - a for offsets a of some
   // prototile, and positions are unique, so no count exceeds the size of
@@ -69,21 +91,11 @@ std::uint32_t coverage_multiplicity(const Deployment& d) {
   std::uint32_t best = 0;
   const auto& grid = d.coverage_grid();
   if (grid.has_value()) {
-    // Grid ids are linear in the coordinates, so a prototile element
-    // moves every sensor's cell id by one fixed shift per type, taken
-    // from the first sensor of that type (whose coverage the grid holds).
-    std::vector<std::vector<std::int64_t>> shifts(d.prototiles().size());
+    const auto shifts = coverage_shifts(d, *grid);
     std::vector<std::uint32_t> count(grid->size(), 0);
     for (std::uint32_t i = 0; i < d.size() && best < cap; ++i) {
-      const Point& pos = d.position(i);
-      const std::int64_t base = grid->id_of(pos);
-      std::vector<std::int64_t>& shift = shifts[d.type_of(i)];
-      if (shift.empty()) {
-        for (const Point& n : d.neighborhood_of(i).points()) {
-          shift.push_back(std::int64_t{grid->id_of(pos + n)} - base);
-        }
-      }
-      for (const std::int64_t s : shift) {
+      const std::int64_t base = grid->id_of(d.position(i));
+      for (const std::int64_t s : shifts[d.type_of(i)]) {
         best = std::max(best, ++count[static_cast<std::size_t>(base + s)]);
       }
     }
@@ -180,23 +192,23 @@ std::optional<std::size_t> Deployment::sensor_at(const Point& p) const {
   return static_cast<std::size_t>(it->second);
 }
 
-CsrU32 coverage_ids(const Deployment& d, const PointIndexer& grid) {
+CsrU32 coverage_ids(const Deployment& d) {
+  const auto& grid = d.coverage_grid();
+  if (!grid.has_value()) {
+    throw std::invalid_argument("coverage_ids: deployment has no dense grid");
+  }
+  const auto shifts = coverage_shifts(d, *grid);
   CsrU32 cov;
   cov.begin_counting(d.size());
   for (std::uint32_t i = 0; i < d.size(); ++i) {
     cov.offsets[i + 1] =
-        static_cast<std::uint32_t>(d.neighborhood_of(i).size());
+        static_cast<std::uint32_t>(shifts[d.type_of(i)].size());
   }
   cov.finish_counting();
   for (std::uint32_t i = 0; i < d.size(); ++i) {
-    const Point& pos = d.position(i);
-    for (const Point& n : d.neighborhood_of(i).points()) {
-      const std::uint32_t id = grid.id_of(pos + n);
-      if (id == PointIndexer::kInvalid) {
-        throw std::invalid_argument(
-            "coverage_ids: grid does not cover the deployment");
-      }
-      cov.push(i, id);
+    const std::int64_t base = grid->id_of(d.position(i));
+    for (const std::int64_t s : shifts[d.type_of(i)]) {
+      cov.push(i, static_cast<std::uint32_t>(base + s));
     }
   }
   return cov;
@@ -253,7 +265,7 @@ Graph build_conflict_graph(const Deployment& d) {
   if (!grid.has_value()) return build_conflict_graph_hashed(d);
   // Invert coverage on the dense grid: CSR row per grid cell listing the
   // sensors that cover it; any two of them conflict.
-  const CsrU32 cov = coverage_ids(d, *grid);
+  const CsrU32 cov = coverage_ids(d);
   CsrU32 covered_by;
   covered_by.begin_counting(grid->size());
   for (std::uint32_t id : cov.values) covered_by.count(id);

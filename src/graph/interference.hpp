@@ -103,10 +103,11 @@ class Deployment {
   std::uint32_t multiplicity_ = 0;
 };
 
-/// Coverage lists of every sensor as grid ids in one CSR buffer: row i
-/// holds grid.id_of(p) for p in coverage_of(i), in canonical element
-/// order.  `grid` must cover the deployment (see Deployment::coverage_grid).
-CsrU32 coverage_ids(const Deployment& d, const PointIndexer& grid);
+/// Coverage lists of every sensor as ids on d.coverage_grid() in one CSR
+/// buffer: row i holds coverage_grid()->id_of(p) for p in coverage_of(i),
+/// in canonical element order.  Throws when the deployment's hull is
+/// scattered (no dense grid).
+CsrU32 coverage_ids(const Deployment& d);
 
 /// The simulators' listener relation as CSR: row u lists the sensors
 /// located inside coverage_of(u), excluding u itself (the radio model's

@@ -1,5 +1,6 @@
 #include "graph/sa_coloring.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace latticesched {
@@ -64,11 +65,14 @@ std::optional<Coloring> sa_find_coloring(const Graph& g, std::uint32_t k,
   return std::nullopt;
 }
 
-SaScheduleResult sa_min_coloring(const Graph& g, const SaConfig& config) {
+SaScheduleResult sa_min_coloring(const Graph& g, const SaConfig& config,
+                                 std::uint32_t lower_bound) {
   SaScheduleResult out;
   out.coloring = dsatur_coloring(g);
   out.colors = color_count(out.coloring);
-  while (out.colors > 1) {
+  // Each k attempt seeds its own Rng, so skipping the attempts below a
+  // valid lower bound (all doomed) leaves every other attempt unchanged.
+  while (out.colors > std::max<std::uint32_t>(lower_bound, 1)) {
     const std::uint32_t target = out.colors - 1;
     auto attempt = sa_find_coloring(g, target, config);
     out.total_iterations += config.max_iters * config.restarts;

@@ -36,7 +36,12 @@ struct SaScheduleResult {
 };
 
 /// Starts from the DSATUR solution and repeatedly attempts k-1 colors by
-/// annealing until an attempt fails; returns the best proper coloring.
-SaScheduleResult sa_min_coloring(const Graph& g, const SaConfig& config = {});
+/// annealing until an attempt fails or the bound is met; returns the best
+/// proper coloring.  `lower_bound` must be a valid lower bound on the
+/// chromatic number (the conflict graph's clique bound max_k |N_k|,
+/// Deployment::max_coverage_multiplicity()); no attempt is made below
+/// it, so a DSATUR coloring that already meets it costs no annealing.
+SaScheduleResult sa_min_coloring(const Graph& g, const SaConfig& config = {},
+                                 std::uint32_t lower_bound = 0);
 
 }  // namespace latticesched

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "core/scenario.hpp"
 #include "graph/sa_coloring.hpp"
 #include "util/rng.hpp"
 
@@ -59,6 +62,93 @@ TEST(Coloring, DsaturOptimalOnEvenCycle) {
   EXPECT_EQ(color_count(dsatur_coloring(g)), 2u);
 }
 
+// The original O(n^2) DSATUR scan, kept as the oracle the heap version
+// must reproduce color for color: the first vertex (lowest index) of
+// maximal (saturation, degree) is colored with its smallest free color.
+Coloring dsatur_reference(const Graph& g) {
+  const std::size_t n = g.size();
+  Coloring colors(n, kUncolored);
+  std::vector<std::set<std::uint32_t>> sat(n);
+  std::vector<bool> done(n, false);
+  for (std::size_t step = 0; step < n; ++step) {
+    std::uint32_t pick = 0;
+    bool found = false;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (done[v]) continue;
+      if (!found || sat[v].size() > sat[pick].size() ||
+          (sat[v].size() == sat[pick].size() &&
+           g.degree(v) > g.degree(pick))) {
+        pick = v;
+        found = true;
+      }
+    }
+    std::uint32_t c = 0;
+    while (sat[pick].count(c) != 0) ++c;
+    colors[pick] = c;
+    done[pick] = true;
+    for (std::uint32_t w : g.neighbors(pick)) sat[w].insert(c);
+  }
+  return colors;
+}
+
+Graph random_graph(Rng& rng, std::size_t n, std::uint64_t edge_pct) {
+  Graph g(n);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t v = u + 1; v < n; ++v) {
+      if (rng.next_below(100) < edge_pct) g.add_edge(u, v);
+    }
+  }
+  return g;
+}
+
+Graph scenario_conflict_graph(const char* name, std::int64_t n) {
+  ScenarioParams params;
+  params.n = n;
+  return build_conflict_graph(
+      ScenarioRegistry::global().build(name, params).deployment);
+}
+
+TEST(DsaturHeap, MatchesReferenceOnRandomGraphs) {
+  Rng rng(2024);
+  for (std::uint64_t pct : {1u, 5u, 15u, 40u, 75u, 95u}) {
+    for (std::size_t n : {2u, 9u, 40u, 130u}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const Graph g = random_graph(rng, n, pct);
+        EXPECT_EQ(dsatur_coloring(g), dsatur_reference(g))
+            << "n=" << n << " pct=" << pct << " trial=" << trial;
+      }
+    }
+  }
+}
+
+TEST(DsaturHeap, MatchesReferenceOnAllTieGraphs) {
+  // Empty, edgeless, complete and regular graphs: every vertex ties on
+  // degree, so only the index tie-break decides the order.
+  Graph torus(36);  // 6x6 torus grid: 4-regular
+  for (std::uint32_t r = 0; r < 6; ++r) {
+    for (std::uint32_t c = 0; c < 6; ++c) {
+      torus.add_edge(r * 6 + c, r * 6 + (c + 1) % 6);
+      torus.add_edge(r * 6 + c, ((r + 1) % 6) * 6 + c);
+    }
+  }
+  for (const Graph& g :
+       {Graph(0), Graph(1), Graph(17), complete_graph(1), complete_graph(9),
+        complete_graph(70), cycle_graph(3), cycle_graph(12), cycle_graph(13),
+        petersen_graph(), torus}) {
+    EXPECT_EQ(dsatur_coloring(g), dsatur_reference(g)) << g.size();
+  }
+}
+
+TEST(DsaturHeap, MatchesReferenceOnConflictGraphs) {
+  for (const auto& [name, n] : {std::pair<const char*, std::int64_t>{"grid", 12},
+                                {"hex", 12},
+                                {"cube3d", 9}}) {
+    const Graph g = scenario_conflict_graph(name, n);
+    ASSERT_GT(g.edge_count(), 0u) << name;
+    EXPECT_EQ(dsatur_coloring(g), dsatur_reference(g)) << name;
+  }
+}
+
 TEST(ExactChromatic, KnownChromaticNumbers) {
   EXPECT_EQ(exact_chromatic(complete_graph(4)).colors, 4u);
   EXPECT_EQ(exact_chromatic(cycle_graph(5)).colors, 3u);   // odd cycle
@@ -104,6 +194,22 @@ TEST(ExactChromatic, HeuristicsNeverBeatExact) {
     EXPECT_LE(exact.colors, color_count(dsatur_coloring(g)));
     EXPECT_GE(exact.colors, exact.clique_lower_bound);
   }
+}
+
+TEST(ExactChromatic, CallerBoundStopsTheSearch) {
+  // C5 has a greedy clique of 2 but needs 3 colors; told the bound is 3,
+  // the search stops at DSATUR's first 3-coloring and reports it.
+  const Graph g = cycle_graph(5);
+  const auto free_run = exact_chromatic(g);
+  const auto bounded = exact_chromatic(g, {}, 3);
+  EXPECT_EQ(free_run.clique_lower_bound, 2u);
+  EXPECT_EQ(bounded.clique_lower_bound, 3u);
+  EXPECT_EQ(bounded.colors, 3u);
+  EXPECT_TRUE(bounded.proven_optimal);
+  EXPECT_EQ(bounded.nodes, 0u);
+  EXPECT_GT(free_run.nodes, 0u);
+  // A bound below the greedy clique changes nothing.
+  EXPECT_EQ(exact_chromatic(complete_graph(5), {}, 2).clique_lower_bound, 5u);
 }
 
 TEST(ExactChromatic, NodeBudgetDegradesGracefully) {
@@ -154,6 +260,37 @@ TEST(SaColoring, MinColoringNeverWorseThanDsatur) {
   }
 }
 
+TEST(SaColoring, StopsAtTheLowerBound) {
+  // DSATUR already meets max_k |N_k| = 9 on the 3x3-ball grid, so no
+  // annealing attempt runs at all.
+  const Graph g = scenario_conflict_graph("grid", 12);
+  const Coloring dsatur = dsatur_coloring(g);
+  ASSERT_EQ(color_count(dsatur), 9u);
+  SaConfig cfg;
+  const auto r = sa_min_coloring(g, cfg, 9);
+  EXPECT_EQ(r.total_iterations, 0u);
+  EXPECT_EQ(r.coloring, dsatur);
+  EXPECT_GT(sa_min_coloring(g, cfg).total_iterations, 0u);
+}
+
+TEST(SaColoring, ValidBoundLeavesTheResultUnchanged) {
+  // Every k attempt seeds its own Rng, so skipping the attempts below a
+  // clique bound only saves work.
+  Rng rng(12);
+  for (int trial = 0; trial < 6; ++trial) {
+    const Graph g = random_graph(rng, 24, 20 + 10 * trial);
+    const auto bound = static_cast<std::uint32_t>(g.greedy_clique().size());
+    SaConfig cfg;
+    cfg.max_iters = 5'000;
+    cfg.seed = 100 + trial;
+    const auto free_run = sa_min_coloring(g, cfg);
+    const auto bounded = sa_min_coloring(g, cfg, bound);
+    EXPECT_EQ(bounded.coloring, free_run.coloring) << "trial " << trial;
+    EXPECT_EQ(bounded.colors, free_run.colors) << "trial " << trial;
+    EXPECT_LE(bounded.total_iterations, free_run.total_iterations);
+  }
+}
+
 TEST(SaColoring, ZeroColorsOnlyForEmptyGraph) {
   EXPECT_TRUE(sa_find_coloring(Graph(0), 0).has_value());
   EXPECT_FALSE(sa_find_coloring(Graph(3), 0).has_value());
@@ -162,16 +299,6 @@ TEST(SaColoring, ZeroColorsOnlyForEmptyGraph) {
 // ---------------------------------------------------------------------------
 // Incremental greedy repair (the PlanSession warm start)
 // ---------------------------------------------------------------------------
-
-Graph random_graph(Rng& rng, std::size_t n, std::uint64_t edge_pct) {
-  Graph g(n);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (std::uint32_t v = u + 1; v < n; ++v) {
-      if (rng.next_below(100) < edge_pct) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
 
 TEST(IncrementalGreedy, NoDirtyVerticesIsTheIdentity) {
   Rng rng(5);

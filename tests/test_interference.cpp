@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
 #include "tiling/lattice_tiling_search.hpp"
 #include "tiling/shapes.hpp"
 
@@ -171,6 +172,39 @@ TEST(Deployment, MultiPrototileConflicts) {
                                shapes::chebyshev_ball(2, 1));
   }();
   EXPECT_FALSE(sensors_conflict(d, 0, 1));
+}
+
+TEST(CoverageIds, MatchPerElementIdOf) {
+  // The per-type id shifts must equal the direct lookup of every
+  // coverage point, on 2-D, hexagonal, 3-D and multi-prototile fields.
+  for (const char* name : {"grid", "hex", "cube3d", "antennas"}) {
+    ScenarioParams params;
+    params.n = 7;
+    const Deployment d =
+        ScenarioRegistry::global().build(name, params).deployment;
+    if (std::string(name) == "antennas") {
+      ASSERT_GT(d.prototiles().size(), 1u);
+    }
+    const auto& grid = d.coverage_grid();
+    ASSERT_TRUE(grid.has_value()) << name;
+    const CsrU32 cov = coverage_ids(d);
+    ASSERT_EQ(cov.rows(), d.size()) << name;
+    for (std::uint32_t i = 0; i < d.size(); ++i) {
+      const PointVec& elements = d.neighborhood_of(i).points();
+      ASSERT_EQ(cov.row_size(i), elements.size()) << name << " sensor " << i;
+      for (std::size_t e = 0; e < elements.size(); ++e) {
+        EXPECT_EQ(cov.row(i)[e], grid->id_of(d.position(i) + elements[e]))
+            << name << " sensor " << i << " element " << e;
+      }
+    }
+  }
+}
+
+TEST(CoverageIds, ScatteredHullThrows) {
+  const Deployment d = Deployment::uniform(
+      {Point{0, 0}, Point{1'000'000, 1'000'000}}, shapes::l1_ball(2, 1));
+  ASSERT_FALSE(d.coverage_grid().has_value());
+  EXPECT_THROW(coverage_ids(d), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Report serialization tests: CSV/JSON round-trips of PlanResult rows
 // (including the multichannel fields), schedule CSV with the channel
-// columns, the PlanCounters codecs and merge, and a golden-file pin of
-// the driver's --format json output.
+// columns, the PlanCounters codecs and merge, and golden-file pins of
+// the CLI's --format json output and of every registry row.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -312,6 +313,49 @@ TEST(ReportSerialization, GoldenDriverJson) {
   golden << is.rdbuf();
   EXPECT_EQ(json, golden.str())
       << "driver JSON schema changed; regenerate " << path;
+}
+
+// Golden-file pin of every registry row: `latticesched --scenario all
+// --n 16 --format csv` with the wall_ms column cut out must match the
+// checked-in table byte for byte (regenerate with the same command
+// piped through `cut -d, -f1-12,14-`).
+TEST(ReportSerialization, GoldenRegistryCsv) {
+  const std::string command = std::string("'") + LATTICESCHED_CLI_PATH +
+                              "' --scenario all --n 16 --format csv "
+                              "--threads 2 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string csv;
+  char buffer[4096];
+  while (const std::size_t got = std::fread(buffer, 1, sizeof buffer, pipe)) {
+    csv.append(buffer, got);
+  }
+  ASSERT_EQ(::pclose(pipe), 0) << command;
+
+  // Drop field 13 (wall_ms); no field before it holds a comma.
+  std::istringstream lines(csv);
+  std::ostringstream stripped;
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::size_t from = 0;
+    for (int field = 0; field < 12 && from != std::string::npos; ++field) {
+      from = line.find(',', from);
+      if (from != std::string::npos) ++from;
+    }
+    ASSERT_NE(from, std::string::npos) << line;
+    const std::size_t to = line.find(',', from);
+    ASSERT_NE(to, std::string::npos) << line;
+    stripped << line.substr(0, from) << line.substr(to + 1) << '\n';
+  }
+
+  const std::string path = std::string(LATTICESCHED_SOURCE_DIR) +
+                           "/tests/golden/registry_n16_csv.golden";
+  std::ifstream is(path);
+  ASSERT_TRUE(is) << "missing golden file " << path;
+  std::ostringstream golden;
+  golden << is.rdbuf();
+  EXPECT_EQ(stripped.str(), golden.str())
+      << "a registry row changed; regenerate " << path;
 }
 
 }  // namespace
