@@ -350,55 +350,6 @@ void report() {
                          t_serial / t_parallel, threads});
   }
 
-  // Conflict-graph build at scale, serial vs the parallel per-sensor path.
-  {
-    const Deployment d =
-        Deployment::grid(Box::centered(2, 40), shapes::chebyshev_ball(2, 2));
-    set_parallel_threads(1);
-    std::size_t edges_serial = 0;
-    const double t_serial = time_best_of(
-        3, [&] { edges_serial = build_conflict_graph(d).edge_count(); });
-    set_parallel_threads(0);
-    const double threads = static_cast<double>(parallel_threads());
-    std::size_t edges_parallel = 0;
-    const double t_parallel = time_best_of(
-        3, [&] { edges_parallel = build_conflict_graph(d).edge_count(); });
-    std::printf(
-        "conflict graph (%zu sensors, %zu/%zu edges): serial %.1fms,"
-        " %.0f threads %.1fms -> %.2fx\n",
-        d.size(), edges_serial, edges_parallel, t_serial * 1e3, threads,
-        t_parallel * 1e3, t_serial / t_parallel);
-    records().push_back(
-        {"conflict_graph_build_serial", t_serial * 1e9, 0.0, 0.0, 1.0});
-    records().push_back({"conflict_graph_build_parallel", t_parallel * 1e9,
-                         0.0, t_serial / t_parallel, threads});
-  }
-
-  // Planner fan-out: all six backends on one deployment, one plan_all.
-  {
-    const Deployment d =
-        Deployment::grid(Box::cube(2, 0, 15), shapes::chebyshev_ball(2, 1));
-    PlanRequest request;
-    request.deployment = &d;
-    request.sa.max_iters = 20'000;
-    set_parallel_threads(1);
-    const double t_serial = time_best_of(
-        2, [&] { (void)PlannerRegistry::global().plan_all(request); });
-    set_parallel_threads(0);
-    const double threads = static_cast<double>(parallel_threads());
-    const double t_parallel = time_best_of(
-        2, [&] { (void)PlannerRegistry::global().plan_all(request); });
-    std::printf(
-        "plan_all fan-out (6 backends, %zu sensors): serial %.1fms,"
-        " %.0f threads %.1fms -> %.2fx\n",
-        d.size(), t_serial * 1e3, threads, t_parallel * 1e3,
-        t_serial / t_parallel);
-    records().push_back(
-        {"plan_all_serial", t_serial * 1e9, 0.0, 0.0, 1.0});
-    records().push_back({"plan_all_parallel", t_parallel * 1e9, 0.0,
-                         t_serial / t_parallel, threads});
-  }
-
   write_bench_json();
 }
 

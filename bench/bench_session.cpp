@@ -24,7 +24,6 @@
 #include "core/plan_session.hpp"
 #include "core/scenario.hpp"
 #include "tiling/shapes.hpp"
-#include "util/parallel.hpp"
 
 namespace latticesched {
 namespace {
@@ -36,12 +35,6 @@ struct SessionRecord {
   double cold_ms = 0.0;         // cold plan of the mutated deployment
   double incremental_ms = 0.0;  // session replan after the delta
   double speedup = 0.0;
-  /// Knob-sweep provenance (the swept field's name, e.g.
-  /// `graph_patch_dirty_denominator`): set on records that measure one
-  /// knob setting, so tooling can join sweeps without parsing record
-  /// names.
-  std::string knob;
-  double value = 0.0;
 };
 
 std::vector<SessionRecord>& records() {
@@ -60,20 +53,12 @@ void write_bench_json() {
   os << "{\n  \"benchmarks\": [\n";
   const auto& rs = records();
   for (std::size_t i = 0; i < rs.size(); ++i) {
-    char buf[384];
-    std::string knob_fields;
-    if (!rs[i].knob.empty()) {
-      char kb[128];
-      std::snprintf(kb, sizeof kb, ", \"knob\": \"%s\", \"value\": %g",
-                    rs[i].knob.c_str(), rs[i].value);
-      knob_fields = kb;
-    }
+    char buf[256];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"cold_ms\": %.3f, "
-                  "\"incremental_ms\": %.3f, \"speedup\": %.2f%s}%s\n",
+                  "\"incremental_ms\": %.3f, \"speedup\": %.2f}%s\n",
                   rs[i].name.c_str(), rs[i].cold_ms, rs[i].incremental_ms,
-                  rs[i].speedup, knob_fields.c_str(),
-                  i + 1 < rs.size() ? "," : "");
+                  rs[i].speedup, i + 1 < rs.size() ? "," : "");
     os << buf;
   }
   os << "  ]\n}\n";
@@ -227,52 +212,56 @@ void report() {
     records().push_back(record);
   }
 
-  // Graph-patch threshold sweep: the same medium-sized delta (an 8-sensor
-  // outage) replanned under different
-  // SessionConfig::graph_patch_dirty_denominator settings.  0 = always
-  // rebuild (the baseline the knob is judged against); the default
-  // kGraphPatchDirtyDenominator = 4 patches anything up to a quarter of
-  // the fleet.  This is the measurement behind the default.
+  // Conflict-graph patch vs rebuild on an 8-sensor outage, the delta
+  // size kGraphPatchDirtyDenominator was chosen on: the session patches
+  // it (8 * 4 <= 248 sensors) instead of rebuilding.  A removal leaves
+  // every surviving row clean, so the patch only remaps rows.
+  // cold_ms is the rebuild, incremental_ms the patch (min over reps).
   {
-    bench::section("graph-patch threshold sweep (denominator knob)");
-    const std::size_t denominators[] = {0, 1, kGraphPatchDirtyDenominator, 16};
-    double rebuild_ms = 0.0;  // denominator 0 baseline
-    for (const std::size_t denom : denominators) {
-      SessionConfig config;
-      config.backends = backends;
-      config.verify = false;
-      config.graph_patch_dirty_denominator = denom;
-      PlanSession session(grid_deployment(16, 2), config);
-      const SessionRecord timed = measure(
-          std::string("grid_patch_denominator_") + std::to_string(denom),
-          session, backends, 5, [&](int step) {
-            DeploymentDelta delta;
-            for (int j = 0; j < 8; ++j) {
-              delta.remove_sensors.push_back(session.deployment().position(
-                  static_cast<std::size_t>(3 + 17 * step + 2 * j)));
-            }
-            return delta;
-          });
-      SessionRecord record = timed;
-      record.knob = "graph_patch_dirty_denominator";
-      record.value = static_cast<double>(denom);
-      if (denom == 0) rebuild_ms = timed.incremental_ms;
-      // For the sweep the interesting ratio is vs the always-rebuild
-      // mode, not vs a cold plan.
-      record.cold_ms = rebuild_ms;
-      record.speedup =
-          record.incremental_ms > 0.0 && rebuild_ms > 0.0
-              ? rebuild_ms / record.incremental_ms
-              : 0.0;
-      const PlanSession::Stats& stats = session.stats();
-      std::printf(
-          "denominator %zu: replan %.3fms (%.2fx vs rebuild), %llu "
-          "build(s), %llu patch(es)\n",
-          denom, record.incremental_ms, record.speedup,
-          static_cast<unsigned long long>(stats.graph_builds),
-          static_cast<unsigned long long>(stats.graph_patches));
-      records().push_back(record);
+    bench::section("conflict-graph patch vs rebuild (8-sensor outage)");
+    const Deployment before = grid_deployment(16, 2);
+    const Graph old_graph = build_conflict_graph(before);
+    PointVec survivors;
+    std::vector<std::uint32_t> old_to_new(before.size(), kRemovedSensor);
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      const bool outage = i % 2 == 1 && i >= 3 && i <= 17;  // 8 sensors
+      if (outage) continue;
+      old_to_new[i] = static_cast<std::uint32_t>(survivors.size());
+      survivors.push_back(before.position(i));
     }
+    const Deployment after =
+        Deployment::uniform(std::move(survivors), before.prototiles().front());
+    const std::vector<std::uint32_t> dirty;
+    SessionRecord record;
+    record.name = "grid_patch_vs_rebuild_outage8";
+    record.cold_ms = 1e300;
+    record.incremental_ms = 1e300;
+    bool identical = true;
+    for (int rep = 0; rep < 20; ++rep) {
+      const Clock::time_point t0 = Clock::now();
+      const Graph patched =
+          patch_conflict_graph(old_graph, after, old_to_new, dirty);
+      const Clock::time_point t1 = Clock::now();
+      const Graph rebuilt = build_conflict_graph(after);
+      const Clock::time_point t2 = Clock::now();
+      record.incremental_ms = std::min(
+          record.incremental_ms,
+          std::chrono::duration<double>(t1 - t0).count() * 1e3);
+      record.cold_ms = std::min(
+          record.cold_ms, std::chrono::duration<double>(t2 - t1).count() * 1e3);
+      for (std::uint32_t u = 0; u < after.size(); ++u) {
+        identical = identical && patched.neighbors(u) == rebuilt.neighbors(u);
+      }
+    }
+    record.speedup = record.cold_ms / record.incremental_ms;
+    std::printf(
+        "grid(n=16 r=2), remove 8 sensors: rebuild %.3fms vs patch "
+        "%.3fms -> %.1fx\n",
+        record.cold_ms, record.incremental_ms, record.speedup);
+    if (!identical) {
+      std::printf("WARNING: patched graph differs from the rebuild\n");
+    }
+    records().push_back(record);
   }
 
   write_bench_json();

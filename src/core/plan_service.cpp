@@ -57,9 +57,9 @@ BatchReport PlanService::run(const std::vector<BatchItem>& items) {
   report.items.resize(items.size());
   // Each item's session counters, merged in item order after the fan-out.
   std::vector<PlanCounters> item_counters(items.size());
-  // Item fan-out; each item's own plan_all fan-out degrades to serial
-  // inside this region (the pool never nests), so the parallelism grain
-  // is one scenario per worker.
+  // Item fan-out, one scenario per worker: each item's backends run
+  // serially, and a tiling search inside this region runs inline (the
+  // pool never nests).
   parallel_for(0, items.size(), [&](std::size_t i) {
     const BatchItem& item = items[i];
     BatchItemReport& out = report.items[i];

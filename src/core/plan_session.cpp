@@ -7,7 +7,6 @@
 #include "core/region_shard.hpp"
 #include "graph/coloring.hpp"
 #include "tiling/shapes.hpp"
-#include "util/parallel.hpp"
 
 namespace latticesched {
 
@@ -246,7 +245,6 @@ PlanSession::PlanSession(Deployment initial, SessionConfig config)
   base_.tiling_cache = config.tiling_cache;
   base_.regions = std::max<std::size_t>(config.regions, 1);
   base_.region_halo = config.region_halo;
-  patch_denominator_ = config.graph_patch_dirty_denominator;
   owned_.emplace(std::move(initial));
   deployment_ = &*owned_;
 }
@@ -451,13 +449,11 @@ void PlanSession::apply(const DeploymentDelta& delta) {
 
   // --- patch the incremental state -------------------------------------
   std::sort(dirty.begin(), dirty.end());
-  // Patch only small deltas: past 1/denominator of the fleet (a quarter
-  // at the default kGraphPatchDirtyDenominator) the localized rebuild
-  // probes more cells than one clean build would.  The threshold is a
-  // SessionConfig knob; bench_session sweeps it.
+  // Patch only small deltas: past a quarter of the fleet the localized
+  // rebuild probes more cells than one clean build would.
   const bool patchable =
-      graph_.has_value() && patch_denominator_ != 0 &&
-      dirty.size() * patch_denominator_ <= next.size();
+      graph_.has_value() &&
+      dirty.size() * kGraphPatchDirtyDenominator <= next.size();
   std::optional<Graph> next_graph;
   bool next_warm_valid = false;
   std::vector<std::uint32_t> next_prev;
@@ -630,14 +626,14 @@ std::vector<PlanResult> PlanSession::replan() {
     request.region_warm = &region_warm;
   }
 
-  // Backend fan-out: results land in their request slots, so the output
-  // order is the request order at any thread count.  Backends that
-  // themselves use the pool (tiling search) degrade to serial inside
-  // this region — the pool never nests.
-  std::vector<PlanResult> results(selected.size());
-  parallel_for(0, selected.size(), [&](std::size_t i) {
-    results[i] = selected[i]->plan(request);
-  });
+  // One backend after another on the calling thread, in request order:
+  // each backend's plan is too small to pay for a pool dispatch, and a
+  // pool region would queue concurrent sessions behind each other.
+  std::vector<PlanResult> results;
+  results.reserve(selected.size());
+  for (const Planner* planner : selected) {
+    results.push_back(planner->plan(request));
+  }
 
   // Record the greedy table for the next warm start (when greedy ran on
   // the session-maintained graph).  When greedy sat this replan out the

@@ -26,6 +26,12 @@
 // (examples, PlanService, the distributed worker loop) already runs on
 // this API.
 //
+// replan() runs its backends one after another on the calling thread,
+// in request order; it never enters the shared pool itself, so
+// concurrent sessions (one per serve connection) do not queue behind
+// each other.  A backend's own parallel code (the tiling backend's
+// period sweep) may use the pool.
+//
 // MutationTrace packages a timestamped delta sequence; dynamic
 // scenarios (core/scenario.hpp) generate them and the driver's
 // --script flag parses them from the text format documented at
@@ -116,11 +122,13 @@ MutationTrace parse_mutation_script(const std::string& text);
 std::string mutation_trace_to_script(const MutationTrace& trace,
                                      std::size_t dim = 2);
 
-/// Default SessionConfig::graph_patch_dirty_denominator: a delta is
-/// patched incrementally while dirty <= fleet / denominator, i.e. up to
-/// a quarter of the fleet.  Past that the localized rebuild probes more
-/// candidate cells than one clean build_conflict_graph would (measured
-/// by bench_session's patch-threshold sweep).
+/// Conflict-graph patch threshold: apply() patches the graph
+/// incrementally while dirty_sensors * denominator <= fleet_size, i.e.
+/// up to a quarter of the fleet, and rebuilds it otherwise.  Past that
+/// the localized rebuild probes more candidate cells than one clean
+/// build_conflict_graph would; denominators 1, 4 and 16 measured within
+/// noise of each other (EXPERIMENTS.md).  Patched and rebuilt graphs
+/// are identical (pinned by the session property tests).
 inline constexpr std::size_t kGraphPatchDirtyDenominator = 4;
 
 struct SessionConfig {
@@ -131,15 +139,6 @@ struct SessionConfig {
   SaConfig sa;
   bool verify = true;
   std::uint32_t channels = 1;
-  /// Conflict-graph patch threshold: apply() patches the graph
-  /// incrementally when dirty_sensors * denominator <= fleet_size and
-  /// falls back to a full rebuild otherwise.  1 patches any delta up to
-  /// the whole fleet; larger values are stricter (the default 4 stops
-  /// at a quarter); 0 disables patching entirely — every delta rebuilds
-  /// (the A/B baseline of bench_session's threshold sweep).  Purely a
-  /// performance knob: patched and rebuilt graphs are identical (pinned
-  /// by the session property tests).
-  std::size_t graph_patch_dirty_denominator = kGraphPatchDirtyDenominator;
   /// Spatial region count for the region-greedy backend
   /// (PlanRequest::regions).  When a selected backend plans by region,
   /// the session routes every delta to the shards it dirties and replans
@@ -188,7 +187,8 @@ class PlanSession {
   /// unchanged when it throws.
   void apply(const DeploymentDelta& delta);
 
-  /// Plans the current deployment on the session's backends.  Reuses
+  /// Plans the current deployment on the session's backends, one after
+  /// another on the calling thread, in request order.  Reuses
   /// the patched conflict graph, the memoized torus searches and the
   /// previous greedy slot table; the results are identical to a cold
   /// plan of the current deployment.  Throws std::invalid_argument on
@@ -228,8 +228,6 @@ class PlanSession {
   PlanRequest base_;  ///< request template (deployment/graph/warm set per call)
   const PlannerRegistry* planners_;
   std::vector<std::string> backends_;
-  /// SessionConfig::graph_patch_dirty_denominator (0 = never patch).
-  std::size_t patch_denominator_ = kGraphPatchDirtyDenominator;
 
   std::optional<Deployment> owned_;     ///< engaged once the session mutates
   const Deployment* deployment_;        ///< current deployment (owned or borrowed)

@@ -18,7 +18,6 @@
 #include "lattice/lattice.hpp"
 #include "tiling/lattice_tiling_search.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
 
 namespace latticesched {
 

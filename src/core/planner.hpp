@@ -28,10 +28,11 @@
 // (request.tiling_cache routes the torus search through a TilingCache so
 // scenario sweeps re-pay only the first search).
 //
-// plan_all fans the selected backends out over the shared thread pool
-// (util/parallel.hpp) and prebuilds the conflict graph once for all
-// coloring backends; results come back in request order regardless of
-// thread count.
+// plan_all runs the selected backends one after another on the calling
+// thread and prebuilds the conflict graph once for all coloring
+// backends; results come back in request order.  Parallelism lives one
+// level up (PlanService plans batch items on the shared pool) and in
+// the tiling backend's speculative period sweep.
 #pragma once
 
 #include <cstdint>
@@ -272,13 +273,13 @@ class PlannerRegistry {
   const Planner* find(const std::string& name) const;
 
   /// Runs the named backends ("" or empty list = all registered backends
-  /// supporting the request, in registration order) concurrently on the
-  /// shared pool and returns their results in the same order.  Builds the
-  /// conflict graph once for all coloring backends when the request
-  /// doesn't carry one.  Throws std::invalid_argument on unknown names or
-  /// a null deployment.  This is a thin wrapper over a single-step
-  /// PlanSession (core/plan_session.hpp) — open a session instead when
-  /// the deployment will change.
+  /// supporting the request, in registration order) one after another
+  /// on the calling thread and returns their results in the same order.
+  /// Builds the conflict graph once for all coloring backends when the
+  /// request doesn't carry one.  Throws std::invalid_argument on unknown
+  /// names or a null deployment.  This is a thin wrapper over a
+  /// single-step PlanSession (core/plan_session.hpp) — open a session
+  /// instead when the deployment will change.
   std::vector<PlanResult> plan_all(
       const PlanRequest& request,
       const std::vector<std::string>& backends = {}) const;

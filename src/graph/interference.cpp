@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/parallel.hpp"
-
 namespace latticesched {
 
 namespace {
@@ -272,29 +270,6 @@ Graph build_conflict_graph(const Deployment& d) {
   covered_by.finish_counting();
   for (std::uint32_t i = 0; i < d.size(); ++i) {
     for (std::uint32_t id : cov.row(i)) covered_by.push(id, i);
-  }
-  // Neighbor enumeration dominates; it parallelizes per sensor because
-  // sensor u's conflict partners — every sensor sharing a covered cell —
-  // depend only on the (const) CSR tables.  The per-u list is sorted and
-  // deduplicated locally, so the resulting adjacency is a pure function
-  // of the deployment: byte-identical at any thread count (the
-  // determinism test pins threads=1 vs threads=N).
-  if (parallel_threads() > 1 && !in_parallel_region() && d.size() >= 256) {
-    std::vector<std::vector<std::uint32_t>> adj(d.size());
-    parallel_for(
-        0, d.size(),
-        [&](std::size_t u) {
-          auto& out = adj[u];
-          for (std::uint32_t id : cov.row(u)) {
-            for (std::uint32_t v : covered_by.row(id)) {
-              if (v != static_cast<std::uint32_t>(u)) out.push_back(v);
-            }
-          }
-          std::sort(out.begin(), out.end());
-          out.erase(std::unique(out.begin(), out.end()), out.end());
-        },
-        16);
-    return Graph::from_sorted_adjacency(std::move(adj));
   }
   Graph g(d.size());
   for (std::size_t cell = 0; cell < covered_by.rows(); ++cell) {

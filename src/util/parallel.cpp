@@ -142,19 +142,14 @@ ThreadPool& ThreadPool::global() {
 
 void detail::parallel_for_dispatch(
     std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t)>& fn, std::size_t grain) {
-  const std::size_t n = end - begin;
+    const std::function<void(std::size_t)>& fn) {
   std::atomic<std::size_t> next{begin};
-  ThreadPool::global().run(
-      (n + grain - 1) / grain, [&](std::size_t) {
-        for (;;) {
-          const std::size_t lo =
-              next.fetch_add(grain, std::memory_order_relaxed);
-          if (lo >= end) return;
-          const std::size_t hi = std::min(end, lo + grain);
-          for (std::size_t i = lo; i < hi; ++i) fn(i);
-        }
-      });
+  ThreadPool::global().run(end - begin, [&](std::size_t) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < end; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
+    }
+  });
 }
 
 }  // namespace latticesched

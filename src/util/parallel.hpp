@@ -1,16 +1,20 @@
 // Shared fork-join thread pool and parallel_for.
 //
-// The planner pipeline fans out over backends, the torus search
-// speculatively explores several tori, and the conflict-graph builder
-// chunks its per-sensor work — all through this one pool, so the process
-// never oversubscribes the machine no matter how the layers nest.
+// Two consumers, both through this one pool so the process never
+// oversubscribes the machine when they nest:
+//  * PlanService::run plans its batch items with parallel_for;
+//  * search_periodic_tiling speculatively explores the tori of its
+//    period sweep with ThreadPool::run.
+// A session replan runs its backends serially and the conflict-graph
+// builder is serial: their work per task is too small to pay for a
+// dispatch (EXPERIMENTS.md, "One fork-join site").
 //
 // Design rules that keep users deterministic:
 //  * the pool only provides *parallelism*, never *ordering*: every
 //    consumer must combine worker results in a thread-independent order
 //    (index order, CAS-min on indices, sorted merges);
 //  * nested parallel regions degrade to serial inline execution, so a
-//    parallel backend invoked from the parallel planner fan-out is safe;
+//    tiling search inside a PlanService batch item runs serially;
 //  * `set_parallel_threads(1)` (or LATTICESCHED_THREADS=1) turns every
 //    parallel region into plain serial code — the determinism tests
 //    compare that mode byte-for-byte against multi-threaded runs.
@@ -81,32 +85,27 @@ class ThreadPool {
 
 namespace detail {
 /// Pool-dispatch slow path of parallel_for; only reached when the range
-/// is big enough and the pool is genuinely parallel.
+/// has several indices and the pool is genuinely parallel.
 void parallel_for_dispatch(std::size_t begin, std::size_t end,
-                           const std::function<void(std::size_t)>& fn,
-                           std::size_t grain);
+                           const std::function<void(std::size_t)>& fn);
 }  // namespace detail
 
-/// Calls fn(i) for every i in [begin, end), distributing chunks of
-/// `grain` indices dynamically over the global pool.  Blocks until done.
-/// Serial (inline, in index order, WITHOUT the std::function type
-/// erasure — the 1-core CI runner never pays the indirection) when the
-/// pool is serial, the range has at most one index, the range is tiny,
-/// or the caller is already inside a parallel region.  `fn` must be
-/// safe to call concurrently for distinct i; no ordering is guaranteed.
+/// Calls fn(i) for every i in [begin, end), handing out one index at a
+/// time dynamically over the global pool.  Blocks until done.  Serial
+/// (inline, in index order, WITHOUT the std::function type erasure —
+/// the 1-core CI runner never pays the indirection) when the pool is
+/// serial, the range has at most one index, or the caller is already
+/// inside a parallel region.  `fn` must be safe to call concurrently
+/// for distinct i; no ordering is guaranteed.
 template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
-                  std::size_t grain = 1) {
+void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
   if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n = end - begin;
-  if (n <= 1 || n <= grain || in_parallel_region() ||
-      parallel_threads() <= 1) {
+  if (end - begin == 1 || in_parallel_region() || parallel_threads() <= 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
   detail::parallel_for_dispatch(
-      begin, end, std::function<void(std::size_t)>(std::ref(fn)), grain);
+      begin, end, std::function<void(std::size_t)>(std::ref(fn)));
 }
 
 }  // namespace latticesched

@@ -8,6 +8,7 @@
 #include "core/scenario.hpp"
 #include "tiling/lattice_tiling_search.hpp"
 #include "tiling/shapes.hpp"
+#include "tiling/torus_search.hpp"
 
 namespace latticesched {
 namespace {
@@ -172,6 +173,62 @@ TEST(Deployment, MultiPrototileConflicts) {
                                shapes::chebyshev_ball(2, 1));
   }();
   EXPECT_FALSE(sensors_conflict(d, 0, 1));
+}
+
+/// Checks every row of build_conflict_graph(d) against the streaming
+/// prober's row for the same sensor: the all-pairs inversion over
+/// covered cells and the localized sensor_at probes must agree.
+void expect_rows_match_prober(const Deployment& d) {
+  const Graph g = build_conflict_graph(d);
+  ASSERT_EQ(g.size(), d.size());
+  const ConflictProber prober(d);
+  std::vector<std::uint32_t> row;
+  std::size_t degree_sum = 0;
+  for (std::uint32_t u = 0; u < d.size(); ++u) {
+    prober.row(u, row);
+    ASSERT_EQ(g.neighbors(u), row) << "sensor " << u;
+    degree_sum += row.size();
+  }
+  EXPECT_EQ(g.edge_count() * 2, degree_sum);
+  EXPECT_GT(g.edge_count(), 0u);
+}
+
+TEST(ConflictGraph, MatchesProberRowsOnGrid) {
+  // 24x24 grid = 576 sensors on the dense coverage grid.
+  const Deployment d =
+      Deployment::grid(Box::cube(2, 0, 23), shapes::chebyshev_ball(2, 1));
+  ASSERT_TRUE(d.coverage_grid().has_value());
+  expect_rows_match_prober(d);
+}
+
+TEST(ConflictGraph, MatchesProberRowsMixedPrototiles) {
+  TorusSearchConfig cfg;
+  cfg.require_all_prototiles = true;
+  const auto tiling = find_tiling_on_torus(
+      {shapes::s_tetromino(), shapes::z_tetromino()},
+      Sublattice::diagonal({4, 4}), cfg);
+  ASSERT_TRUE(tiling.has_value());
+  const Deployment d = Deployment::from_tiling(*tiling, Box::centered(2, 12));
+  ASSERT_TRUE(d.coverage_grid().has_value());
+  ASSERT_EQ(d.prototiles().size(), 2u);
+  expect_rows_match_prober(d);
+}
+
+TEST(ConflictGraph, MatchesProberRowsOnScatteredHull) {
+  // Two 5x5 clusters a million cells apart: the hull defeats the dense
+  // grid, so the build takes the hashed path.
+  PointVec positions;
+  for (const std::int64_t base : {std::int64_t{0}, std::int64_t{1'000'000}}) {
+    for (std::int64_t x = 0; x < 5; ++x) {
+      for (std::int64_t y = 0; y < 5; ++y) {
+        positions.push_back(Point{base + x, base + y});
+      }
+    }
+  }
+  const Deployment d =
+      Deployment::uniform(positions, shapes::chebyshev_ball(2, 1));
+  ASSERT_FALSE(d.coverage_grid().has_value());
+  expect_rows_match_prober(d);
 }
 
 TEST(CoverageIds, MatchPerElementIdOf) {

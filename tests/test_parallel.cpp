@@ -1,14 +1,12 @@
 // Determinism contract of the parallel execution layer: every parallel
 // path must produce byte-identical results to the serial path.  Each test
 // runs the same computation with threads=1 and threads=N and compares
-// outputs structurally (tilings placement-by-placement, graphs
-// adjacency-by-adjacency).
+// outputs structurally (tilings placement-by-placement).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 
-#include "graph/interference.hpp"
 #include "tiling/shapes.hpp"
 #include "tiling/torus_search.hpp"
 #include "util/parallel.hpp"
@@ -153,48 +151,6 @@ TEST(ParallelDeterminism, AllTilingsFanOutRespectsResultLimit) {
   ASSERT_EQ(parallel.size(), 5u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(same_tiling(serial[i], parallel[i])) << "tiling " << i;
-  }
-}
-
-TEST(ParallelDeterminism, ConflictGraphMatchesSerial) {
-  ThreadGuard guard;
-  // 24x24 grid = 576 sensors, above the parallel builder's threshold.
-  const Deployment d =
-      Deployment::grid(Box::cube(2, 0, 23), shapes::chebyshev_ball(2, 1));
-
-  set_parallel_threads(1);
-  const Graph serial = build_conflict_graph(d);
-
-  for (std::size_t threads : {2, 8}) {
-    set_parallel_threads(threads);
-    const Graph parallel = build_conflict_graph(d);
-    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
-    ASSERT_EQ(serial.edge_count(), parallel.edge_count())
-        << threads << " threads";
-    for (std::uint32_t u = 0; u < serial.size(); ++u) {
-      ASSERT_EQ(serial.neighbors(u), parallel.neighbors(u))
-          << "vertex " << u << " at " << threads << " threads";
-    }
-  }
-}
-
-TEST(ParallelDeterminism, ConflictGraphMixedPrototiles) {
-  ThreadGuard guard;
-  TorusSearchConfig cfg;
-  cfg.require_all_prototiles = true;
-  const auto tiling = find_tiling_on_torus(
-      {shapes::s_tetromino(), shapes::z_tetromino()},
-      Sublattice::diagonal({4, 4}), cfg);
-  ASSERT_TRUE(tiling.has_value());
-  const Deployment d = Deployment::from_tiling(*tiling, Box::centered(2, 12));
-
-  set_parallel_threads(1);
-  const Graph serial = build_conflict_graph(d);
-  set_parallel_threads(4);
-  const Graph parallel = build_conflict_graph(d);
-  ASSERT_EQ(serial.edge_count(), parallel.edge_count());
-  for (std::uint32_t u = 0; u < serial.size(); ++u) {
-    ASSERT_EQ(serial.neighbors(u), parallel.neighbors(u)) << "vertex " << u;
   }
 }
 

@@ -7,6 +7,10 @@
 // >= 5x incremental-vs-cold wall-clock pin on small-delta steps.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <numeric>
+#include <thread>
 
 #include "core/plan_session.hpp"
 #include "core/scenario.hpp"
@@ -391,6 +395,85 @@ TEST(PlanSession, IncrementalReplanReusesGraphAndSearchOnSmallDeltas) {
     expect_all_equivalent(incremental, cold_plan(session, config.backends));
   }
   set_parallel_threads(0);
+}
+
+/// One compute() call as a RecordingPlanner saw it.
+struct ComputeCall {
+  std::string backend;
+  std::thread::id thread;
+  bool in_region = false;
+};
+
+/// Backend that records where its compute() ran and returns a TDMA
+/// table (one slot per sensor).  The mutex only keeps the log sound if
+/// a session ever ran backends concurrently.
+class RecordingPlanner : public Planner {
+ public:
+  RecordingPlanner(std::string name, std::vector<ComputeCall>* calls,
+                   std::mutex* mu)
+      : name_(std::move(name)), calls_(calls), mu_(mu) {}
+
+  std::string name() const override { return name_; }
+
+ protected:
+  Raw compute(const PlanRequest& request) const override {
+    {
+      std::lock_guard<std::mutex> lock(*mu_);
+      calls_->push_back(
+          {name_, std::this_thread::get_id(), in_parallel_region()});
+    }
+    Raw raw;
+    raw.slots.slot.resize(request.deployment->size());
+    std::iota(raw.slots.slot.begin(), raw.slots.slot.end(), 0u);
+    raw.slots.period = static_cast<std::uint32_t>(raw.slots.slot.size());
+    raw.slots.source = name_;
+    return raw;
+  }
+
+ private:
+  std::string name_;
+  std::vector<ComputeCall>* calls_;
+  std::mutex* mu_;
+};
+
+// A replan runs its backends on the calling thread, in request order,
+// outside any pool region — even with a parallel pool available — so
+// concurrent sessions never queue on the shared pool.
+TEST(PlanSession, ReplanRunsBackendsSeriallyOnTheCallingThread) {
+  std::vector<ComputeCall> calls;
+  std::mutex mu;
+  PlannerRegistry registry;
+  registry.register_planner(
+      std::make_unique<RecordingPlanner>("first", &calls, &mu));
+  registry.register_planner(
+      std::make_unique<RecordingPlanner>("second", &calls, &mu));
+
+  set_parallel_threads(4);
+  SessionConfig config;
+  config.planners = &registry;
+  config.backends = {"second", "first"};
+  PlanSession session(Deployment::grid(Box::cube(2, 0, 5),
+                                       shapes::chebyshev_ball(2, 1)),
+                      config);
+  std::vector<PlanResult> results = session.replan();
+  DeploymentDelta delta;
+  delta.remove_sensors = {Point{2, 2}};
+  session.apply(delta);
+  const std::vector<PlanResult> second = session.replan();
+  results.insert(results.end(), second.begin(), second.end());
+  set_parallel_threads(0);
+
+  const std::vector<std::string> expected = {"second", "first", "second",
+                                             "first"};
+  ASSERT_EQ(calls.size(), expected.size());
+  ASSERT_EQ(results.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(calls[i].backend, expected[i]) << "call " << i;
+    EXPECT_EQ(calls[i].thread, std::this_thread::get_id()) << "call " << i;
+    EXPECT_FALSE(calls[i].in_region) << "call " << i;
+    EXPECT_EQ(results[i].backend, expected[i]) << "result " << i;
+    EXPECT_TRUE(results[i].ok) << results[i].error;
+  }
 }
 
 // ---------------------------------------------------------------------------
